@@ -5,6 +5,13 @@ over the k^3 kernel offsets, and transpose_conv3d is exactly that
 adjoint used as a forward pass. Backward passes recompute the column
 matrix from the saved input instead of caching it, trading a second
 im2col for a much smaller live set on volumetric inputs.
+
+When stride == k the windows tile the grid without overlapping, so the
+scatter is no loop: the (k, k, k, do, ho, wo) column axes interleave
+into (do, k, ho, k, wo, k) and reshape onto the grid in one pass, and
+any remainder of the grid past do*k that no window covers stays zero.
+That path serves every 1x1 conv backward, the strided spatial-reduction
+conv backward and the k = stride upsampling transpose convs.
 """
 
 import numpy as np
@@ -30,6 +37,12 @@ def _col2im(dcols, grid_shape, k, stride, win_spatial):
     do, ho, wo = win_spatial
     grid = np.zeros(grid_shape, dtype=dcols.dtype)
     dcols = dcols.reshape(n, c, k, k, k, do, ho, wo)
+    if stride == k:
+        # splitting each spatial axis of the covered block is a view, so the
+        # add lands in grid; each voxel gets exactly one term, as in the loop
+        block = grid[:, :, : do * k, : ho * k, : wo * k].reshape(n, c, do, k, ho, k, wo, k)
+        block += dcols.transpose(0, 1, 5, 2, 6, 3, 7, 4)
+        return grid
     for a in range(k):
         sa = slice(a, a + (do - 1) * stride + 1, stride)
         for b in range(k):
@@ -63,14 +76,14 @@ def conv3d(x, w, bias=None, stride=1, padding=0, groups=1):
         raise ShapeError(f"bias shape {bias.shape} != ({o},)")
 
     pad = ((0, 0), (0, 0)) + ((padding, padding),) * 3
-    padded = np.pad(x.data, pad)
+    padded = np.pad(x.data, pad) if padding else x.data
     cols, out_spatial = _im2col(padded, k, stride)
     length = cols.shape[-1]
     wm = w.data.reshape(groups, o // groups, cg * k**3)
     out = wm @ cols.reshape(n, groups, cg * k**3, length)
     out = out.reshape(n, o, *out_spatial)
     if bias is not None:
-        out = out + bias.data.reshape(1, o, 1, 1, 1)
+        out += bias.data.reshape(1, o, 1, 1, 1)
 
     parents = (x, w) if bias is None else (x, w, bias)
 
@@ -119,7 +132,7 @@ def transpose_conv3d(x, w, bias=None, stride=1):
         dcols.reshape(n, co * k**3, length), (n, co) + out_spatial, k, stride, in_spatial
     )
     if bias is not None:
-        out = out + bias.data.reshape(1, co, 1, 1, 1)
+        out += bias.data.reshape(1, co, 1, 1, 1)
 
     parents = (x, w) if bias is None else (x, w, bias)
 

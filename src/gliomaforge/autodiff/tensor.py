@@ -7,7 +7,11 @@ topological sweep from a scalar loss and accumulates into .grad.
 
 Broadcasting is limited to numpy's size-1 rules. Compute stays in the
 dtype of the operands, so the same graph code runs in float32 for
-training and float64 for finite-difference checks. Gradient arrays are
+training and float64 for finite-difference checks. A scalar float
+operand (a Python float, an np.float64, a 0-d array) takes the dtype of
+the tensor it meets: under NumPy 2 promotion a float64 0-d array is not
+"weak", so `x * 0.5` would otherwise turn a float32 tensor, and every
+tensor and gradient downstream of it, into float64. Gradient arrays are
 never mutated in place; accumulation always allocates.
 """
 
@@ -125,9 +129,14 @@ class Tensor:
 
     # -- elementwise -------------------------------------------------------
 
-    @staticmethod
-    def _coerce(value):
-        return value if isinstance(value, Tensor) else Tensor(np.asarray(value))
+    def _coerce(self, value):
+        """Wrap a non-Tensor operand; a scalar float takes this tensor's dtype."""
+        if isinstance(value, Tensor):
+            return value
+        arr = np.asarray(value)
+        if arr.ndim == 0 and arr.dtype.kind == "f":
+            arr = arr.astype(self.dtype)
+        return Tensor(arr)
 
     @staticmethod
     def _check_broadcast(a, b):
@@ -212,10 +221,11 @@ class Tensor:
     def gelu(self):
         """Exact (erf-based) GELU."""
         inv_sqrt2 = self.data.dtype.type(1.0 / np.sqrt(2.0))
+        sqrt_2pi = self.data.dtype.type(np.sqrt(2.0 * np.pi))
         cdf = 0.5 * (1.0 + erf(self.data * inv_sqrt2))
 
         def backward_fn(g):
-            pdf = np.exp(-0.5 * self.data * self.data) / np.sqrt(2.0 * np.pi)
+            pdf = np.exp(-0.5 * self.data * self.data) / sqrt_2pi
             _accumulate(self, g * (cdf + self.data * pdf))
 
         return Tensor._from_op(self.data * cdf, (self,), backward_fn)
@@ -326,7 +336,7 @@ class Parameter(Tensor):
 
 
 def concat(tensors, axis=0):
-    tensors = [Tensor._coerce(t) for t in tensors]
+    tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 

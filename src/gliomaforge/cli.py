@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .autodiff import Tensor, no_grad
 from .errors import ConfigError, GliomaForgeError, PairingError
 from .harmonize import build_cdf, match_histogram, zscore_normalize
 from .metrics import evaluate as evaluate_dirs
@@ -43,7 +42,7 @@ from .stratify import (
     stratify_cases,
     write_folds_csv,
 )
-from .train import TrainConfig, fit, training_case
+from .train import TrainConfig, fit, predict_labels, training_case, write_fit_log
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -120,7 +119,7 @@ def _map_cases(work, tasks, jobs):
 # -- harmonize -------------------------------------------------------------
 
 
-def _reference_cdfs(ref_dir, quantiles):
+def _reference_cdfs(ref_dir):
     ref_dir = Path(ref_dir)
     ids = discover_case_dirs_ids(ref_dir)
     if not ids:
@@ -154,7 +153,7 @@ def cmd_harmonize(args) -> int:
     ids = discover_case_dirs_ids(args.in_dir)
     if not ids:
         raise PairingError(f"no cases found in {args.in_dir}")
-    cdfs = _reference_cdfs(args.ref_dir, quantiles)
+    cdfs = _reference_cdfs(args.ref_dir)
     Path(args.out).mkdir(parents=True, exist_ok=True)
     tasks = [(args.in_dir, args.out, cid, cdfs, quantiles, args.compress) for cid in ids]
     for case_id in _map_cases(_harmonize_one, tasks, args.jobs):
@@ -235,8 +234,6 @@ def _save_fit(args, model, model_cfg, result) -> None:
     with atomic_output(str(args.out) + ".cfg") as tmp:
         tmp.write_text(cfgmod.model_config_to_text(model_cfg))
     log_path = str(args.out) + ".log.csv"
-    from .train import write_fit_log
-
     with atomic_output(log_path) as tmp:
         write_fit_log(tmp, result.log)
     print(
@@ -313,14 +310,7 @@ def predict_case(
         if ref_cdfs is not None:
             vol = match_histogram(vol, ref_cdfs[mod], quantiles=quantiles)
         channels.append(zscore_normalize(vol).data)
-    images = np.stack(channels).astype(np.float32)
-    dims = images.shape[1:]
-    pads = [(0, (-s) % 32) for s in dims]
-    padded = np.pad(images, [(0, 0)] + pads)
-    with no_grad():
-        logits = model(Tensor(padded[None]))
-    crop = tuple(slice(0, s) for s in dims)
-    labels = np.argmax(logits.data[0], axis=0)[crop].astype(np.uint8)
+    labels = predict_labels(model, np.stack(channels).astype(np.float32))
     mask = SegmentationMask(labels=labels, spacing=case.modalities["t1"].spacing)
     if postprocess:
         mask = keep_largest_per_class(mask)
@@ -344,11 +334,11 @@ def cmd_predict(args) -> int:
             f"{args.in_dir} holds {len(ids)} cases; pick one with --case-id"
         )
     case = load_case(args.in_dir, ids[0])
-    cdfs = None
-    if args.ref_dir:
-        quantiles = args.quantiles or int(config.get("quantiles", DEFAULT_QUANTILES))
-        cdfs = _reference_cdfs(args.ref_dir, quantiles)
-    mask = predict_case(model, case, ref_cdfs=cdfs, postprocess=not args.no_postprocess)
+    cdfs = _reference_cdfs(args.ref_dir) if args.ref_dir else None
+    quantiles = args.quantiles or int(config.get("quantiles", DEFAULT_QUANTILES))
+    mask = predict_case(
+        model, case, ref_cdfs=cdfs, quantiles=quantiles, postprocess=not args.no_postprocess
+    )
     with atomic_output(args.out) as tmp:
         save_mask(tmp, mask)
     print(f"wrote segmentation for {ids[0]} to {args.out}")
@@ -425,11 +415,6 @@ def build_parser() -> _Parser:
             p.add_argument("--ckpt", required=True, help="initial checkpoint")
             p.add_argument("--folds", help="folds CSV from `stratify`")
             p.add_argument("--val-fold", type=int, default=0, help="held-out fold index")
-        else:
-            p.add_argument(
-                "--folds",
-                help="accepted for interface symmetry; pretraining uses a seeded 95/5 split",
-            )
 
     p = add("predict", cmd_predict, "segment one case with a trained checkpoint")
     p.add_argument("--ckpt", required=True, help="model checkpoint")

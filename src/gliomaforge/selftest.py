@@ -145,6 +145,7 @@ def suite_model_contract(seed):
     )
     logits = model(x)
     _check(logits.shape == (1, 4, 32, 32, 32), f"logit shape {logits.shape}")
+    _check(logits.dtype == np.float32, f"float32 model returned {logits.dtype} logits")
     again = model(x)
     _check(np.array_equal(logits.data, again.data), "forward pass not deterministic")
 

@@ -161,14 +161,22 @@ class AdamW:
         lr = self.lr if lr is None else lr
         self.step_count += 1
         t = self.step_count
-        for i, p in enumerate(self.params):
+        # in place, in the order of the textbook update, so each array holds
+        # the same bits as m = b1*m + (1-b1)*g ... theta = theta - lr*update
+        for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
-            m_hat = self.m[i] / (1.0 - self.beta1**t)
-            v_hat = self.v[i] / (1.0 - self.beta2**t)
-            update = m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * p.data
-            p.data = p.data - lr * update
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            update = m / (1.0 - self.beta1**t)
+            denom = v / (1.0 - self.beta2**t)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            update /= denom
+            update += self.weight_decay * p.data
+            update *= lr
+            p.data -= update
 
 
 def cosine_lr(epoch: int, total: int, lr0: float) -> float:

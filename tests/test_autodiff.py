@@ -21,6 +21,7 @@ from gliomaforge.autodiff import (
     transpose_conv3d,
     trilinear_resize,
 )
+from gliomaforge.autodiff.conv import _col2im
 from gliomaforge.errors import CheckpointError, ShapeError
 
 
@@ -64,6 +65,39 @@ class TestElementwise:
         assert a.grad.shape == (2, 3)
         assert b.grad.shape == (1, 3)
         np.testing.assert_array_equal(b.grad, [[2.0, 2.0, 2.0]])
+
+
+SCALAR_OPS = {
+    "add": lambda t, s: t + s,
+    "radd": lambda t, s: s + t,
+    "sub": lambda t, s: t - s,
+    "rsub": lambda t, s: s - t,
+    "mul": lambda t, s: t * s,
+    "rmul": lambda t, s: s * t,
+    "div": lambda t, s: t / s,
+    "rdiv": lambda t, s: s / t,
+    "pow": lambda t, s: t**s,
+    "layer_norm": lambda t, s: layer_norm(
+        t, Tensor(np.ones(3, dtype=t.dtype)), Tensor(np.zeros(3, dtype=t.dtype)), eps=s
+    ),
+    "softmax": lambda t, s: softmax(t, axis=-1) * s,
+    "gelu": lambda t, s: t.gelu() * s,
+}
+
+
+class TestPrecision:
+    """Scalar operands must not change the dtype the graph computes in."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("scalar", [2.5, np.float64(2.5)], ids=["float", "np.float64"])
+    @pytest.mark.parametrize("op", sorted(SCALAR_OPS))
+    def test_forward_and_backward_keep_dtype(self, op, scalar, dtype):
+        x = Tensor(np.random.default_rng(0).uniform(0.5, 2.0, size=(2, 3)).astype(dtype),
+                   requires_grad=True)
+        out = SCALAR_OPS[op](x, scalar)
+        assert out.dtype == dtype
+        out.sum().backward()
+        assert x.grad.dtype == dtype
 
 
 class TestMatmul:
@@ -146,6 +180,82 @@ class TestConv3d:
             conv3d(Tensor(np.zeros((1, 3, 4, 4, 4))), Tensor(np.zeros((2, 1, 3, 3, 3))), groups=2)
         with pytest.raises(ShapeError):
             conv3d(Tensor(np.zeros((1, 1, 2, 2, 2))), Tensor(np.zeros((1, 1, 3, 3, 3))))
+
+
+def scatter_loop(dcols, grid_shape, k, stride, win_spatial):
+    """The general col2im scatter: one strided add per kernel offset."""
+    n, c = grid_shape[:2]
+    do, ho, wo = win_spatial
+    grid = np.zeros(grid_shape, dtype=dcols.dtype)
+    dcols = dcols.reshape(n, c, k, k, k, do, ho, wo)
+    for a in range(k):
+        for b in range(k):
+            for q in range(k):
+                grid[
+                    :, :,
+                    a : a + (do - 1) * stride + 1 : stride,
+                    b : b + (ho - 1) * stride + 1 : stride,
+                    q : q + (wo - 1) * stride + 1 : stride,
+                ] += dcols[:, :, a, b, q]
+    return grid
+
+
+class TestNonOverlappingWindows:
+    """stride == k: the col2im reshape, and gradients through it."""
+
+    @pytest.mark.parametrize(
+        "grid_shape, k, win_spatial",
+        [
+            ((2, 3, 4, 6, 8), 2, (2, 3, 4)),  # exact fit
+            ((1, 2, 5, 5, 5), 2, (2, 2, 2)),  # one-voxel remainder on every axis
+            ((1, 2, 7, 7, 7), 2, (3, 3, 3)),  # a 5^3 input padded by 1
+            ((1, 2, 9, 8, 10), 4, (2, 2, 2)),  # uneven remainders
+            ((2, 3, 3, 4, 5), 1, (3, 4, 5)),  # 1x1 conv backward
+        ],
+    )
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_col2im_equals_scatter_loop(self, grid_shape, k, win_spatial, dtype):
+        rng = np.random.default_rng(16)
+        n, c = grid_shape[:2]
+        dcols = rng.normal(size=(n, c * k**3, int(np.prod(win_spatial)))).astype(dtype)
+        fast = _col2im(dcols, grid_shape, k, k, win_spatial)
+        slow = scatter_loop(dcols, grid_shape, k, k, win_spatial)
+        assert fast.dtype == slow.dtype
+        assert fast.tobytes() == slow.tobytes()
+
+    # A plain .sum() feeds a constant upstream gradient, which a wrong axis
+    # order in the reshape would pass; a fixed random weighting does not.
+
+    def test_pointwise_conv_gradcheck(self):
+        rng = np.random.default_rng(17)
+        weight = Tensor(rng.normal(size=(2, 4, 3, 4, 5)))
+        err = gradcheck(
+            lambda t: (conv3d(t[0], t[1], bias=t[2]) * weight).sum(),
+            [rng.normal(size=(2, 3, 3, 4, 5)), rng.normal(size=(4, 3, 1, 1, 1)),
+             rng.normal(size=(4,))],
+        )
+        assert err < 1e-4
+
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_strided_conv_with_remainder_gradcheck(self, padding):
+        rng = np.random.default_rng(18 + padding)
+        weight = Tensor(rng.normal(size=(1, 3, 2 + padding, 2 + padding, 2 + padding)))
+        err = gradcheck(
+            lambda t: (conv3d(t[0], t[1], stride=2, padding=padding) * weight).sum(),
+            [rng.normal(size=(1, 2, 5, 5, 5)), rng.normal(size=(3, 2, 2, 2, 2))],
+        )
+        assert err < 1e-4
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_transpose_conv_gradcheck(self, k):
+        rng = np.random.default_rng(20 + k)
+        weight = Tensor(rng.normal(size=(1, 3, 2 * k, 3 * k, 2 * k)))
+        err = gradcheck(
+            lambda t: (transpose_conv3d(t[0], t[1], bias=t[2], stride=k) * weight).sum(),
+            [rng.normal(size=(1, 2, 2, 3, 2)), rng.normal(size=(2, 3, k, k, k)),
+             rng.normal(size=(3,))],
+        )
+        assert err < 1e-4
 
 
 class TestTransposeConv3d:

@@ -269,6 +269,40 @@ class TestAdamW:
         opt.step()
         np.testing.assert_array_equal(p.data, np.ones(2))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_step_matches_out_of_place_formula(self, dtype):
+        rng = np.random.default_rng(17)
+        lr, wd, b1, b2, eps = 3e-3, 1e-2, 0.9, 0.999, 1e-8
+        params = [
+            Parameter(rng.normal(size=shape).astype(dtype), name=f"p{i}")
+            for i, shape in enumerate([(3, 4), (5,), (2, 1, 3)])
+        ]
+        theta = [p.data.copy() for p in params]
+        m = [np.zeros_like(t) for t in theta]
+        v = [np.zeros_like(t) for t in theta]
+        opt = AdamW(params, lr=lr, weight_decay=wd, beta1=b1, beta2=b2, eps=eps)
+        buffers = [p.data for p in params] + opt.m + opt.v
+        for t in range(1, 4):
+            step_lr = lr * (1.0 - 0.1 * t)
+            for i, p in enumerate(params):
+                g = rng.normal(size=p.shape).astype(dtype)
+                p.grad = g
+                m[i] = b1 * m[i] + (1.0 - b1) * g
+                v[i] = b2 * v[i] + (1.0 - b2) * (g * g)
+                m_hat = m[i] / (1.0 - b1**t)
+                v_hat = v[i] / (1.0 - b2**t)
+                update = m_hat / (np.sqrt(v_hat) + eps) + wd * theta[i]
+                theta[i] = theta[i] - step_lr * update
+            opt.step(lr=step_lr)
+            for i, p in enumerate(params):
+                np.testing.assert_array_equal(p.data, theta[i])
+                np.testing.assert_array_equal(opt.m[i], m[i])
+                np.testing.assert_array_equal(opt.v[i], v[i])
+        # the step wrote into the arrays it started with
+        after = [p.data for p in params] + opt.m + opt.v
+        assert all(x is y for x, y in zip(buffers, after))
+        assert all(x.dtype == dtype for x in after)
+
 
 class TestCosineSchedule:
     def test_endpoints_and_midpoint(self):
@@ -381,6 +415,27 @@ def small_model(seed=1):
 
 def synthetic_training_cases(n=4, seed=11):
     return [training_case(c) for c in make_dataset(n, shape=(32, 32, 32), seed=seed)]
+
+
+class TestPrecision:
+    def test_float32_model_stays_float32_through_adamw(self):
+        rng = np.random.default_rng(21)
+        model = small_model()
+        x = Tensor(rng.normal(size=(1, 4, 32, 32, 32)).astype(np.float32))
+        labels = rng.integers(0, 4, size=(1, 32, 32, 32))
+        opt = AdamW(model.parameters(), lr=1e-3)
+        for _ in range(2):
+            model.zero_grad()
+            logits = model(x)
+            loss = composite_loss(logits, labels)
+            loss.backward()
+            opt.step()
+            assert logits.dtype == np.float32
+            assert loss.dtype == np.float32
+            for p in model.parameters():
+                assert p.grad.dtype == np.float32, p.name
+                assert p.data.dtype == np.float32, p.name
+            assert {a.dtype for a in opt.m + opt.v} == {np.dtype(np.float32)}
 
 
 class TestTrainingCase:
