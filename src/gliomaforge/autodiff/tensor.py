@@ -87,9 +87,6 @@ class Tensor:
     def item(self):
         return float(self.data.reshape(()))
 
-    def detach(self):
-        return Tensor(self.data)
-
     def zero_grad(self):
         self.grad = np.zeros_like(self.data) if self.requires_grad else None
 

@@ -22,11 +22,12 @@ from .errors import ConfigError, GliomaForgeError, PairingError
 from .harmonize import build_cdf, match_histogram, zscore_normalize
 from .metrics import evaluate as evaluate_dirs
 from .metrics import keep_largest_per_class, write_metrics_csv
-from .model import GliomaForgeNet, ModelConfig
+from .model import GliomaForgeNet
 from .nifti import (
     MODALITIES,
     MultiModalCase,
     SegmentationMask,
+    list_case_ids,
     load_case,
     save_mask,
     save_volume,
@@ -79,20 +80,6 @@ def atomic_output(path):
         tmp.unlink(missing_ok=True)
 
 
-def discover_case_dirs_ids(directory) -> list[str]:
-    """Case ids in a data directory, from <id>-t1.nii[.gz] files."""
-    directory = Path(directory)
-    if not directory.is_dir():
-        raise FileNotFoundError(f"data directory {directory} does not exist")
-    ids = set()
-    for path in directory.iterdir():
-        name = path.name
-        for ext in (".nii.gz", ".nii"):
-            if name.endswith("-t1" + ext):
-                ids.add(name[: -len("-t1" + ext)])
-    return sorted(ids)
-
-
 def _load_config(args) -> dict[str, str]:
     path = getattr(args, "config", None)
     return cfgmod.read_config(path) if path else {}
@@ -120,12 +107,8 @@ def _map_cases(work, tasks, jobs):
 
 
 def _reference_cdfs(ref_dir):
-    ref_dir = Path(ref_dir)
-    ids = discover_case_dirs_ids(ref_dir)
-    if not ids:
-        raise PairingError(f"no reference cases found in {ref_dir}")
     pooled = {mod: [] for mod in MODALITIES}
-    for case_id in ids:
+    for case_id in list_case_ids(ref_dir):
         case = load_case(ref_dir, case_id)
         for mod in MODALITIES:
             data = case.modalities[mod].data
@@ -150,9 +133,7 @@ def _harmonize_one(task):
 def cmd_harmonize(args) -> int:
     config = _load_config(args)
     quantiles = args.quantiles or int(config.get("quantiles", DEFAULT_QUANTILES))
-    ids = discover_case_dirs_ids(args.in_dir)
-    if not ids:
-        raise PairingError(f"no cases found in {args.in_dir}")
+    ids = list_case_ids(args.in_dir)
     cdfs = _reference_cdfs(args.ref_dir)
     Path(args.out).mkdir(parents=True, exist_ok=True)
     tasks = [(args.in_dir, args.out, cid, cdfs, quantiles, args.compress) for cid in ids]
@@ -174,10 +155,7 @@ def cmd_features(args) -> int:
     config = _load_config(args)
     modality = args.modality or config.get("modality", "flair")
     bin_width = args.bin_width or float(config.get("bin_width", DEFAULT_BIN_WIDTH))
-    ids = discover_case_dirs_ids(args.in_dir)
-    if not ids:
-        raise PairingError(f"no cases found in {args.in_dir}")
-    tasks = [(args.in_dir, cid, modality, bin_width) for cid in ids]
+    tasks = [(args.in_dir, cid, modality, bin_width) for cid in list_case_ids(args.in_dir)]
     rows = _map_cases(_features_one, tasks, args.jobs)
     with atomic_output(args.out) as tmp:
         write_features_csv(tmp, rows)
@@ -218,21 +196,39 @@ def _load_training_cases(data_dir, ids):
 
 def _train_common(args, epochs_key):
     config = _load_config(args)
-    seed = resolve_seed(args, config)
-    train_cfg = cfgmod.train_config_from(config, seed=seed)
-    model_cfg = cfgmod.model_config_from(config)
+    train_cfg = cfgmod.train_config_from(config, seed=resolve_seed(args, config))
     epochs = args.epochs or getattr(train_cfg, epochs_key)
-    return config, train_cfg, model_cfg, epochs
+    return config, train_cfg, epochs
 
 
-def _save_fit(args, model, model_cfg, result) -> None:
+def _holdout(ids, seed):
+    """Seeded 95/5 split into (train, val), with at least one validation
+    id when there are two or more."""
+    order = np.random.default_rng(seed).permutation(len(ids))
+    n_val = max(1, round(0.05 * len(ids))) if len(ids) > 1 else 0
+    return [ids[i] for i in order[n_val:]], [ids[i] for i in order[:n_val]]
+
+
+def _load_model(args, config, seed) -> GliomaForgeNet:
+    """The model in `--ckpt`, built from `<ckpt>.cfg` if present, else from
+    the `model.*` keys of `--config`."""
+    ckpt_cfg = Path(str(args.ckpt) + ".cfg")
+    model_cfg = cfgmod.model_config_from(
+        cfgmod.read_config(ckpt_cfg) if ckpt_cfg.exists() else config
+    )
+    model = GliomaForgeNet(config=model_cfg, seed=seed)
+    model.load(args.ckpt)
+    return model
+
+
+def _save_fit(args, model, result) -> None:
     params = model.named_parameters()
     for name, value in result.best_params.items():
         params[name].data = value
     with atomic_output(args.out) as tmp:
         model.save(tmp)
     with atomic_output(str(args.out) + ".cfg") as tmp:
-        tmp.write_text(cfgmod.model_config_to_text(model_cfg))
+        tmp.write_text(cfgmod.model_config_to_text(model.config))
     log_path = str(args.out) + ".log.csv"
     with atomic_output(log_path) as tmp:
         write_fit_log(tmp, result.log)
@@ -243,33 +239,20 @@ def _save_fit(args, model, model_cfg, result) -> None:
 
 
 def cmd_pretrain(args) -> int:
-    _, train_cfg, model_cfg, epochs = _train_common(args, "epochs_pretrain")
-    ids = discover_case_dirs_ids(args.data)
-    if not ids:
-        raise PairingError(f"no cases found in {args.data}")
-    cases = _load_training_cases(args.data, ids)
-    # seeded 95/5 split with at least one validation case when possible
-    rng = np.random.default_rng(train_cfg.seed)
-    order = rng.permutation(len(cases))
-    n_val = max(1, round(0.05 * len(cases))) if len(cases) > 1 else 0
-    val = [cases[i] for i in order[:n_val]]
-    train = [cases[i] for i in order[n_val:]]
-    model = GliomaForgeNet(config=model_cfg, seed=train_cfg.seed)
+    config, train_cfg, epochs = _train_common(args, "epochs_pretrain")
+    train_ids, val_ids = _holdout(list_case_ids(args.data), train_cfg.seed)
+    model = GliomaForgeNet(config=cfgmod.model_config_from(config), seed=train_cfg.seed)
+    train = _load_training_cases(args.data, train_ids)
+    val = _load_training_cases(args.data, val_ids)
     result = fit(model, train, val, train_cfg, epochs=epochs)
-    _save_fit(args, model, model_cfg, result)
+    _save_fit(args, model, result)
     return EXIT_OK
 
 
 def cmd_finetune(args) -> int:
-    _, train_cfg, model_cfg, epochs = _train_common(args, "epochs_finetune")
-    ids = discover_case_dirs_ids(args.data)
-    if not ids:
-        raise PairingError(f"no cases found in {args.data}")
-    ckpt_cfg = Path(str(args.ckpt) + ".cfg")
-    if ckpt_cfg.exists():
-        model_cfg = cfgmod.model_config_from_text(ckpt_cfg.read_text())
-    model = GliomaForgeNet(config=model_cfg, seed=train_cfg.seed)
-    model.load(args.ckpt)
+    config, train_cfg, epochs = _train_common(args, "epochs_finetune")
+    ids = list_case_ids(args.data)
+    model = _load_model(args, config, train_cfg.seed)
     if args.folds:
         assignment = read_folds_csv(args.folds)
         fold_of = dict(zip(assignment.case_ids, assignment.folds))
@@ -281,15 +264,11 @@ def cmd_finetune(args) -> int:
         if not train_ids:
             raise ConfigError(f"validation fold {args.val_fold} holds every case")
     else:
-        rng = np.random.default_rng(train_cfg.seed)
-        order = rng.permutation(len(ids))
-        n_val = max(1, round(0.05 * len(ids))) if len(ids) > 1 else 0
-        val_ids = [ids[i] for i in order[:n_val]]
-        train_ids = [ids[i] for i in order[n_val:]]
+        train_ids, val_ids = _holdout(ids, train_cfg.seed)
     train = _load_training_cases(args.data, train_ids)
     val = _load_training_cases(args.data, val_ids)
     result = fit(model, train, val, train_cfg, epochs=epochs)
-    _save_fit(args, model, model_cfg, result)
+    _save_fit(args, model, result)
     return EXIT_OK
 
 
@@ -319,16 +298,8 @@ def predict_case(
 
 def cmd_predict(args) -> int:
     config = _load_config(args)
-    ckpt_cfg = Path(str(args.ckpt) + ".cfg")
-    if ckpt_cfg.exists():
-        model_cfg = cfgmod.model_config_from_text(ckpt_cfg.read_text())
-    else:
-        model_cfg = cfgmod.model_config_from(config)
-    model = GliomaForgeNet(config=model_cfg, seed=resolve_seed(args, config))
-    model.load(args.ckpt)
-    ids = [args.case_id] if args.case_id else discover_case_dirs_ids(args.in_dir)
-    if not ids:
-        raise PairingError(f"no cases found in {args.in_dir}")
+    model = _load_model(args, config, resolve_seed(args, config))
+    ids = [args.case_id] if args.case_id else list_case_ids(args.in_dir)
     if len(ids) > 1:
         raise ConfigError(
             f"{args.in_dir} holds {len(ids)} cases; pick one with --case-id"

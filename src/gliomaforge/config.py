@@ -20,14 +20,18 @@ _LIST_FIELDS = {"stage_channels", "stage_heads", "stage_strides", "stage_depths"
 def read_config(path) -> dict[str, str]:
     """Parse a key=value file into a flat string mapping."""
     with open(path) as fh:
-        text = fh.read()
+        return _parse(fh.read(), path)
+
+
+def _parse(text: str, source) -> dict[str, str]:
+    """Flatten key=value text; `source` names it in a ConfigError."""
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keep key case as written
     try:
         # headerless files are valid; give them an implicit top section
         parser.read_string("[top]\n" + text)
     except configparser.Error as err:
-        raise ConfigError(f"cannot parse config {path}: {err}") from None
+        raise ConfigError(f"cannot parse config {source}: {err}") from None
     flat = {}
     for section in parser.sections():
         prefix = "" if section == "top" else f"{section}."
@@ -57,10 +61,10 @@ def model_config_from(mapping: dict[str, str]) -> ModelConfig:
     for key, raw in values.items():
         if key not in known:
             raise ConfigError(f"unknown model config key {key!r}")
-        if key in _LIST_FIELDS:
-            kwargs[key] = [int(v) for v in raw.split(",")]
-        else:
-            kwargs[key] = int(raw)
+        try:
+            kwargs[key] = [int(v) for v in raw.split(",")] if key in _LIST_FIELDS else int(raw)
+        except ValueError:
+            raise ConfigError(f"bad value {raw!r} for model config key {key!r}") from None
     return ModelConfig(**kwargs)
 
 
@@ -76,7 +80,5 @@ def model_config_to_text(config: ModelConfig) -> str:
 
 
 def model_config_from_text(text: str) -> ModelConfig:
-    parser = configparser.ConfigParser()
-    parser.optionxform = str
-    parser.read_string("[top]\n" + text)
-    return model_config_from(dict(parser.items("top")))
+    """Inverse of `model_config_to_text`."""
+    return model_config_from(_parse(text, "text"))

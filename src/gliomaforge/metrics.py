@@ -2,9 +2,9 @@
 
 Metrics are computed on the three composite regions: whole tumor
 (labels 1+2+3), tumor core (1+3) and enhancing tumor (3). Empty-mask
-conventions follow common BraTS tooling and are configurable: Dice of two
-empty masks is 1.0, HD95 of two empty masks is 0.0, and HD95 with exactly
-one empty mask is the sentinel 373.13. The evaluation CSV flags these
+conventions follow common BraTS tooling: Dice of two empty masks is 1.0,
+HD95 of two empty masks is 0.0, and HD95 with exactly one empty mask is
+the sentinel `HD95_SENTINEL` (373.13). The evaluation CSV flags these
 conventions in a comment header so they are never silently defaulted.
 """
 
@@ -17,7 +17,7 @@ from scipy.ndimage import binary_erosion, distance_transform_edt
 from scipy.ndimage import generate_binary_structure, label as _scipy_label
 
 from .errors import PairingError, ShapeError
-from .nifti import SegmentationMask, load_mask
+from .nifti import SegmentationMask, _find_file, list_mask_ids, load_mask
 
 REGIONS = {
     "WT": (1, 2, 3),  # whole tumor
@@ -114,11 +114,11 @@ def _boundary(mask: np.ndarray) -> np.ndarray:
     return mask & ~interior
 
 
-def hd95(pred, gt, region: str, spacing=(1.0, 1.0, 1.0), sentinel: float = HD95_SENTINEL) -> float:
+def hd95(pred, gt, region: str, spacing=(1.0, 1.0, 1.0)) -> float:
     """95th percentile of the union of both directed surface distance sets.
 
     Distances are Euclidean in millimetres via `spacing`. Both masks empty
-    -> 0.0; exactly one empty -> `sentinel` (BraTS convention).
+    -> 0.0; exactly one empty -> `HD95_SENTINEL` (BraTS convention).
     """
     p = _region_mask(_as_labels(pred), region)
     g = _region_mask(_as_labels(gt), region)
@@ -127,7 +127,7 @@ def hd95(pred, gt, region: str, spacing=(1.0, 1.0, 1.0), sentinel: float = HD95_
     if not p_any and not g_any:
         return 0.0
     if p_any != g_any:
-        return float(sentinel)
+        return HD95_SENTINEL
     bp = _boundary(p)
     bg = _boundary(g)
     spacing = tuple(float(s) for s in spacing)
@@ -177,7 +177,6 @@ def evaluate_case(
     gt: SegmentationMask,
     case_id: str = "",
     postprocess: bool = True,
-    sentinel: float = HD95_SENTINEL,
 ) -> CaseMetrics:
     """All metrics for one prediction/reference pair.
 
@@ -192,7 +191,7 @@ def evaluate_case(
         sens, spec = sensitivity_specificity(pred, gt, name)
         regions[name] = RegionMetrics(
             dice=dice(pred, gt, name),
-            hd95=hd95(pred, gt, name, spacing=spacing, sentinel=sentinel),
+            hd95=hd95(pred, gt, name, spacing=spacing),
             sensitivity=sens,
             specificity=spec,
         )
@@ -213,61 +212,20 @@ def summarize(results: list[CaseMetrics]) -> dict[str, dict[str, tuple[float, fl
     return summary
 
 
-def _find_mask_file(directory: Path, case_id: str) -> Path | None:
-    for stem in (case_id, f"{case_id}-seg"):
-        for ext in (".nii", ".nii.gz"):
-            path = directory / f"{stem}{ext}"
-            if path.exists():
-                return path
-    return None
+def evaluate(pred_dir, gt_dir, postprocess: bool = True) -> tuple[list[CaseMetrics], dict]:
+    """Evaluate every reference case against its matched prediction file.
 
-
-_MODALITY_SUFFIXES = ("-t1", "-t1ce", "-t2", "-flair")
-
-
-def discover_case_ids(gt_dir) -> list[str]:
-    """Case ids present in a reference directory.
-
-    Accepts `<id>-seg` files (full case directories) and bare `<id>` mask
-    files side by side; modality volumes are never mistaken for cases.
+    Either directory may hold ``<id>-seg`` or bare ``<id>`` masks.
     """
-    ids = set()
-    for path in Path(gt_dir).iterdir():
-        name = path.name
-        for ext in (".nii.gz", ".nii"):
-            if not name.endswith(ext):
-                continue
-            stem = name[: -len(ext)]
-            if stem.endswith("-seg"):
-                ids.add(stem[:-4])
-            elif not stem.endswith(_MODALITY_SUFFIXES):
-                ids.add(stem)
-            break
-    return sorted(ids)
-
-
-def evaluate(
-    pred_dir,
-    gt_dir,
-    postprocess: bool = True,
-    sentinel: float = HD95_SENTINEL,
-) -> tuple[list[CaseMetrics], dict]:
-    """Evaluate every reference case against its matched prediction file."""
     pred_dir, gt_dir = Path(pred_dir), Path(gt_dir)
-    case_ids = discover_case_ids(gt_dir)
-    if not case_ids:
-        raise PairingError(f"no reference masks found in {gt_dir}")
     results = []
-    for case_id in case_ids:
-        pred_path = _find_mask_file(pred_dir, case_id)
+    for case_id in list_mask_ids(gt_dir):
+        pred_path = _find_file(pred_dir, case_id, f"{case_id}-seg")
         if pred_path is None:
             raise PairingError(f"no prediction found for case {case_id!r} in {pred_dir}")
-        gt_path = _find_mask_file(gt_dir, case_id)
         pred = load_mask(pred_path)
-        gt = load_mask(gt_path)
-        results.append(
-            evaluate_case(pred, gt, case_id=case_id, postprocess=postprocess, sentinel=sentinel)
-        )
+        gt = load_mask(_find_file(gt_dir, case_id, f"{case_id}-seg"))
+        results.append(evaluate_case(pred, gt, case_id=case_id, postprocess=postprocess))
     return results, summarize(results)
 
 

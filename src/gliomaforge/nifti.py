@@ -22,6 +22,7 @@ from .errors import (
     AlignmentError,
     HeaderError,
     LabelError,
+    PairingError,
     TruncatedDataError,
     UnsupportedDataTypeError,
 )
@@ -318,10 +319,8 @@ def read_mask(buf: bytes, remap_label_4: bool = True) -> SegmentationMask:
     labels = rounded.astype(np.int64)
     if remap_label_4:
         labels[labels == 4] = 3
-    if not np.isin(labels, VALID_LABELS).all():
-        bad = sorted(set(np.unique(labels)) - set(VALID_LABELS))
-        raise LabelError(f"segmentation contains invalid labels {bad}")
-    return SegmentationMask(labels=labels.astype(np.uint8), spacing=vol.spacing)
+    # SegmentationMask validates before its uint8 cast, so 259 or -1 cannot wrap
+    return SegmentationMask(labels=labels, spacing=vol.spacing)
 
 
 def _read_bytes(path: Path) -> bytes:
@@ -360,11 +359,13 @@ def _write_file(path: Path, buf: bytes) -> None:
         path.write_bytes(buf)
 
 
-def _find_file(directory: Path, stem: str) -> Path | None:
-    for suffix in (".nii", ".nii.gz"):
-        candidate = directory / (stem + suffix)
-        if candidate.exists():
-            return candidate
+def _find_file(directory: Path, *stems: str) -> Path | None:
+    """The first existing ``<stem>.nii`` or ``<stem>.nii.gz``, stems in order."""
+    for stem in stems:
+        for suffix in (".nii", ".nii.gz"):
+            candidate = directory / (stem + suffix)
+            if candidate.exists():
+                return candidate
     return None
 
 
@@ -389,15 +390,47 @@ def load_case(directory, case_id: str, remap_label_4: bool = True) -> MultiModal
     return MultiModalCase(case_id=case_id, modalities=modalities, label=label)
 
 
-def list_case_ids(directory) -> list[str]:
-    """Case ids inferred from ``*-t1.nii[.gz]`` files, sorted."""
+def _nifti_stems(directory) -> list[str]:
+    """Names of the ``.nii``/``.nii.gz`` files in a directory, suffix stripped."""
     directory = Path(directory)
-    ids = set()
+    if not directory.is_dir():
+        raise FileNotFoundError(f"data directory {directory} does not exist")
+    stems = []
     for path in directory.iterdir():
-        name = path.name
-        for suffix in ("-t1.nii.gz", "-t1.nii"):
-            if name.endswith(suffix):
-                ids.add(name[: -len(suffix)])
+        for suffix in (".nii.gz", ".nii"):
+            if path.name.endswith(suffix):
+                stems.append(path.name[: -len(suffix)])
+                break
+    return stems
+
+
+def list_case_ids(directory) -> list[str]:
+    """Case ids inferred from ``<id>-t1.nii[.gz]`` files, sorted.
+
+    Raises FileNotFoundError for a missing directory and PairingError when
+    it holds no case.
+    """
+    ids = {stem[: -len("-t1")] for stem in _nifti_stems(directory) if stem.endswith("-t1")}
+    if not ids:
+        raise PairingError(f"no cases found in {directory}")
+    return sorted(ids)
+
+
+def list_mask_ids(directory) -> list[str]:
+    """Case ids of the masks in a directory, sorted.
+
+    ``<id>-seg`` files (full case directories) and bare ``<id>`` mask files
+    may sit side by side; modality volumes are never mistaken for cases.
+    Raises like `list_case_ids`.
+    """
+    modality_suffixes = tuple(f"-{mod}" for mod in MODALITIES)
+    ids = {
+        stem[: -len("-seg")] if stem.endswith("-seg") else stem
+        for stem in _nifti_stems(directory)
+        if not stem.endswith(modality_suffixes)
+    }
+    if not ids:
+        raise PairingError(f"no masks found in {directory}")
     return sorted(ids)
 
 

@@ -153,9 +153,6 @@ class FoldAssignment:
         i = self.case_ids.index(case_id)
         return int(self.clusters[i]), int(self.folds[i])
 
-    def fold_case_ids(self, fold: int) -> list[str]:
-        return [cid for cid, f in zip(self.case_ids, self.folds) if f == fold]
-
 
 def stratified_folds(
     case_ids: list[str],

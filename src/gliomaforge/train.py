@@ -322,8 +322,6 @@ def fit(
     val_cases: list[TrainingCase],
     config: TrainConfig,
     epochs: int,
-    log_path=None,
-    augment: bool = True,
 ) -> FitResult:
     """Seeded epoch loop: crop/augment batches, AdamW with cosine lr,
     keep the best validation checkpoint, stop early on patience."""
@@ -353,8 +351,7 @@ def fit(
             images, labels = [], []
             for case in batch:
                 img, lab = random_crop(case.images, case.label, config.crop_size, rng)
-                if augment:
-                    img, lab = apply_augmentation(img, lab, sample_augmentation(rng, config))
+                img, lab = apply_augmentation(img, lab, sample_augmentation(rng, config))
                 images.append(img)
                 labels.append(lab)
             x = Tensor(np.stack(images))
@@ -389,8 +386,6 @@ def fit(
             stale += 1
             if stale > config.patience:
                 break
-    if log_path is not None:
-        write_fit_log(log_path, best.log)
     return best
 
 

@@ -11,7 +11,6 @@ from gliomaforge.cli import (
     EXIT_OK,
     EXIT_USAGE,
     atomic_output,
-    discover_case_dirs_ids,
     main,
     resolve_seed,
 )
@@ -25,7 +24,7 @@ from gliomaforge.config import (
 from gliomaforge.errors import ConfigError
 from gliomaforge.metrics import read_metrics_csv
 from gliomaforge.model import ModelConfig
-from gliomaforge.nifti import load_mask, load_volume, save_case
+from gliomaforge.nifti import list_case_ids, load_mask, load_volume, save_case
 from gliomaforge.radiomics import FEATURE_NAMES
 from gliomaforge.stratify import read_folds_csv
 from gliomaforge.synthetic import make_case, make_dataset
@@ -178,12 +177,33 @@ class TestConfigFile:
 
 class TestDiscovery:
     def test_finds_cases_by_t1(self, workspace):
-        ids = discover_case_dirs_ids(workspace["raw"])
+        ids = list_case_ids(workspace["raw"])
         assert ids == ["synth-000", "synth-001", "synth-002", "synth-003"]
 
     def test_missing_directory_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            discover_case_dirs_ids(tmp_path / "absent")
+            list_case_ids(tmp_path / "absent")
+
+    @pytest.mark.parametrize(
+        "command", ["harmonize-in", "harmonize-ref", "features", "pretrain", "finetune", "predict"]
+    )
+    def test_empty_dir_is_data_error(self, workspace, tmp_path, capsys, command):
+        empty, root = tmp_path / "empty", workspace["root"]
+        empty.mkdir()
+        raw, ref, out = str(workspace["raw"]), str(workspace["ref"]), str(tmp_path / "out")
+        argv = {
+            "harmonize-in": ["harmonize", "--ref-dir", ref, "--in", str(empty), "--out", out],
+            "harmonize-ref": ["harmonize", "--ref-dir", str(empty), "--in", raw, "--out", out],
+            "features": ["features", "--in", str(empty), "--out", out],
+            "pretrain": ["pretrain", "--data", str(empty), "--out", out,
+                         "--config", str(workspace["cfg"])],
+            "finetune": ["finetune", "--data", str(empty), "--ckpt", str(root / "pre.ck"),
+                         "--out", out, "--config", str(workspace["cfg"])],
+            "predict": ["predict", "--ckpt", str(root / "pre.ck"), "--in", str(empty),
+                        "--out", out],
+        }[command]
+        assert main(argv) == EXIT_DATA
+        assert str(empty) in capsys.readouterr().err
 
 
 class TestHarmonizeCommand:
@@ -269,14 +289,6 @@ class TestTrainingCommands:
         )
         assert rc == EXIT_DATA
 
-    def test_pretrain_empty_dir_is_data_error(self, workspace, tmp_path):
-        (tmp_path / "empty").mkdir()
-        rc = main(
-            ["pretrain", "--data", str(tmp_path / "empty"), "--out", str(tmp_path / "m.ck"),
-             "--config", str(workspace["cfg"])]
-        )
-        assert rc == EXIT_DATA
-
 
 class TestPredictCommand:
     def _case_dir(self, workspace, tmp_path, case="synth-000"):
@@ -316,6 +328,27 @@ class TestPredictCommand:
                          "--in", str(case_dir), "--out", str(out)]) == EXIT_OK
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize(
+        "ckpt_cfg, config",
+        [("[[[\n", None), ("model.decoder_channels = abc\n", None),
+         (None, "[model]\ndecoder_channels = abc\n")],
+        ids=["unparseable-ckpt-cfg", "bad-value-ckpt-cfg", "bad-value-config"],
+    )
+    def test_malformed_model_config_is_data_error(
+        self, workspace, tmp_path, capsys, ckpt_cfg, config
+    ):
+        ckpt = tmp_path / "m.ck"
+        shutil.copy(workspace["root"] / "pre.ck", ckpt)
+        if ckpt_cfg is not None:
+            (tmp_path / "m.ck.cfg").write_text(ckpt_cfg)
+        argv = ["predict", "--ckpt", str(ckpt), "--in", str(self._case_dir(workspace, tmp_path)),
+                "--out", str(tmp_path / "seg.nii")]
+        if config is not None:
+            (tmp_path / "bad.cfg").write_text(config)
+            argv += ["--config", str(tmp_path / "bad.cfg")]
+        assert main(argv) == EXIT_DATA
+        assert "gliomaforge: error:" in capsys.readouterr().err
 
     def test_multi_case_dir_needs_case_id(self, workspace, tmp_path):
         out = tmp_path / "seg.nii"

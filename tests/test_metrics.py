@@ -18,7 +18,6 @@ from gliomaforge.metrics import (
     CaseMetrics,
     connected_components,
     dice,
-    discover_case_ids,
     evaluate,
     evaluate_case,
     hd95,
@@ -28,7 +27,7 @@ from gliomaforge.metrics import (
     summarize,
     write_metrics_csv,
 )
-from gliomaforge.nifti import SegmentationMask, save_mask
+from gliomaforge.nifti import SegmentationMask, list_mask_ids, save_mask
 
 
 # -- independent oracles ---------------------------------------------------
@@ -285,7 +284,6 @@ class TestHD95:
         assert hd95(m, m, "WT") == 0.0
         assert hd95(full, m, "WT") == HD95_SENTINEL
         assert hd95(m, full, "WT") == HD95_SENTINEL
-        assert hd95(full, m, "WT", sentinel=999.0) == 999.0
 
     def test_symmetric_by_construction(self):
         rng = np.random.default_rng(4)
@@ -430,7 +428,15 @@ class TestEvaluate:
     def test_discover_handles_both_layouts(self, tmp_path):
         save_mask(tmp_path / "x-seg.nii", _tumor_mask(0))
         save_mask(tmp_path / "y.nii", _tumor_mask(1))
-        assert discover_case_ids(tmp_path) == ["x", "y"]
+        assert list_mask_ids(tmp_path) == ["x", "y"]
+
+    def test_seg_gz_prediction_matches_bare_nii_reference(self, tmp_path):
+        (tmp_path / "pred").mkdir(), (tmp_path / "gt").mkdir()
+        save_mask(tmp_path / "pred" / "a-seg.nii.gz", _tumor_mask(0))
+        save_mask(tmp_path / "gt" / "a.nii", _tumor_mask(0))
+        results, _ = evaluate(tmp_path / "pred", tmp_path / "gt")
+        assert [r.case_id for r in results] == ["a"]
+        assert all(r.dice == 1.0 for r in results[0].regions.values())
 
     def test_csv_roundtrip_and_cohort_means(self, tmp_path):
         results = [

@@ -144,6 +144,14 @@ class TestMaskIO:
         with pytest.raises(LabelError):
             nifti.read_mask(bytes(buf), remap_label_4=False)
 
+    @pytest.mark.parametrize("value", [259, -1])
+    def test_int16_labels_are_checked_before_narrowing(self, value):
+        # uint8 would wrap 259 to 3 and -1 to 255
+        labels = np.zeros((3, 3, 3), dtype=np.int16)
+        labels[1, 1, 1] = value
+        with pytest.raises(LabelError):
+            nifti.read_mask(nifti._encode(labels, (1.0, 1.0, 1.0), 4))
+
     def test_invalid_label_values(self):
         with pytest.raises(LabelError):
             nifti.SegmentationMask(labels=np.full((2, 2, 2), 7))
