@@ -89,11 +89,8 @@ def resolve_seed(args, config) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
     if "seed" in config:
-        return int(config["seed"])
-    env = os.environ.get("GLIOMAFORGE_SEED")
-    if env is not None:
-        return int(env)
-    return DEFAULT_SEED
+        return cfgmod.number(config, "seed", DEFAULT_SEED)
+    return cfgmod.number(os.environ, "GLIOMAFORGE_SEED", DEFAULT_SEED)
 
 
 def _map_cases(work, tasks, jobs):
@@ -132,7 +129,7 @@ def _harmonize_one(task):
 
 def cmd_harmonize(args) -> int:
     config = _load_config(args)
-    quantiles = args.quantiles or int(config.get("quantiles", DEFAULT_QUANTILES))
+    quantiles = args.quantiles or cfgmod.number(config, "quantiles", DEFAULT_QUANTILES)
     ids = list_case_ids(args.in_dir)
     cdfs = _reference_cdfs(args.ref_dir)
     Path(args.out).mkdir(parents=True, exist_ok=True)
@@ -154,7 +151,7 @@ def _features_one(task):
 def cmd_features(args) -> int:
     config = _load_config(args)
     modality = args.modality or config.get("modality", "flair")
-    bin_width = args.bin_width or float(config.get("bin_width", DEFAULT_BIN_WIDTH))
+    bin_width = args.bin_width or cfgmod.number(config, "bin_width", DEFAULT_BIN_WIDTH, float)
     tasks = [(args.in_dir, cid, modality, bin_width) for cid in list_case_ids(args.in_dir)]
     rows = _map_cases(_features_one, tasks, args.jobs)
     with atomic_output(args.out) as tmp:
@@ -169,9 +166,9 @@ def cmd_features(args) -> int:
 def cmd_stratify(args) -> int:
     config = _load_config(args)
     seed = resolve_seed(args, config)
-    k = args.k or int(config.get("clusters", DEFAULT_CLUSTERS))
-    components = args.pca or int(config.get("components", DEFAULT_COMPONENTS))
-    n_folds = args.folds or int(config.get("folds", DEFAULT_FOLDS))
+    k = args.k or cfgmod.number(config, "clusters", DEFAULT_CLUSTERS)
+    components = args.pca or cfgmod.number(config, "components", DEFAULT_COMPONENTS)
+    n_folds = args.folds or cfgmod.number(config, "folds", DEFAULT_FOLDS)
     case_ids, matrix = read_features_csv(args.features)
     # clamp the PCA width to what the cohort can support
     limit = min(len(case_ids) - 1, matrix.shape[1])
@@ -298,6 +295,7 @@ def predict_case(
 
 def cmd_predict(args) -> int:
     config = _load_config(args)
+    quantiles = args.quantiles or cfgmod.number(config, "quantiles", DEFAULT_QUANTILES)
     model = _load_model(args, config, resolve_seed(args, config))
     ids = [args.case_id] if args.case_id else list_case_ids(args.in_dir)
     if len(ids) > 1:
@@ -306,7 +304,6 @@ def cmd_predict(args) -> int:
         )
     case = load_case(args.in_dir, ids[0])
     cdfs = _reference_cdfs(args.ref_dir) if args.ref_dir else None
-    quantiles = args.quantiles or int(config.get("quantiles", DEFAULT_QUANTILES))
     mask = predict_case(
         model, case, ref_cdfs=cdfs, quantiles=quantiles, postprocess=not args.no_postprocess
     )

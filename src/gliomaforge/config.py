@@ -46,6 +46,17 @@ def section(mapping: dict[str, str], prefix: str) -> dict[str, str]:
     return {k[len(start) :]: v for k, v in mapping.items() if k.startswith(start)}
 
 
+def number(mapping, key: str, default, kind=int):
+    """`mapping[key]` parsed by `kind` (int or float), or `default` when absent."""
+    raw = mapping.get(key)
+    if raw is None:
+        return default
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ConfigError(f"bad value {raw!r} for {key!r}") from None
+
+
 def train_config_from(mapping: dict[str, str], **overrides) -> TrainConfig:
     """TrainConfig from the `train.*` keys plus keyword overrides."""
     values = section(mapping, "train")

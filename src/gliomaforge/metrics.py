@@ -46,6 +46,18 @@ def _check_dims(pred: np.ndarray, gt: np.ndarray) -> None:
         raise ShapeError(f"prediction {pred.shape} vs ground truth {gt.shape}")
 
 
+def _bbox(mask: np.ndarray) -> tuple[slice, ...] | None:
+    """Tight bounding-box slices of a boolean mask; None when it is empty."""
+    box = []
+    for axis in range(mask.ndim):
+        others = tuple(a for a in range(mask.ndim) if a != axis)
+        hits = np.flatnonzero(mask.any(axis=others))
+        if hits.size == 0:
+            return None
+        box.append(slice(int(hits[0]), int(hits[-1]) + 1))
+    return tuple(box)
+
+
 # -- connected components --------------------------------------------------
 
 
@@ -75,16 +87,22 @@ def keep_largest_per_class(seg: SegmentationMask) -> SegmentationMask:
     """Erase all but the largest 26-connected component of each class.
 
     Size ties keep the component whose first voxel appears earliest in scan
-    order, which is the lowest component label by construction.
+    order, which is the lowest component label by construction. Labelling
+    runs on each class's bounding box only: scan order survives the
+    translation, so numbering and the tie-break are those of the full grid.
     """
     labels = seg.labels.copy()
     for cls in (1, 2, 3):
-        comp, count = connected_components(labels == cls)
+        mask = labels == cls
+        box = _bbox(mask)
+        if box is None:
+            continue
+        comp, count = connected_components(mask[box])
         if count <= 1:
             continue
         sizes = np.bincount(comp.ravel())[1:]
         winner = int(np.argmax(sizes)) + 1  # argmax keeps the first max: earliest seed
-        labels[(comp != 0) & (comp != winner)] = 0
+        labels[box][(comp != 0) & (comp != winner)] = 0
     return SegmentationMask(labels=labels, spacing=seg.spacing)
 
 
@@ -128,6 +146,11 @@ def hd95(pred, gt, region: str, spacing=(1.0, 1.0, 1.0)) -> float:
         return 0.0
     if p_any != g_any:
         return HD95_SENTINEL
+    # Every boundary voxel of both masks, and so every nearest pair, lies in
+    # the box of their union; outside it both masks are empty, so the
+    # erosion's border rule at the box faces matches the full grid's.
+    box = _bbox(p | g)
+    p, g = p[box], g[box]
     bp = _boundary(p)
     bg = _boundary(g)
     spacing = tuple(float(s) for s in spacing)

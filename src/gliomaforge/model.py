@@ -54,6 +54,18 @@ class ModelConfig:
         )
         if any(len(item) != 4 for item in lists):
             raise ConfigError("stage lists must all have length 4")
+        # before the divisibility checks, which would divide by zero
+        positive = (
+            self.in_channels,
+            self.num_classes,
+            self.decoder_channels,
+            self.ffn_expansion,
+            self.channel_attn_reduction,
+            *self.stage_depths,
+            *self.stage_heads,
+        )
+        if any(v < 1 for v in positive):
+            raise ConfigError("config values must be positive")
         for c, h in zip(self.stage_channels, self.stage_heads):
             if c % h:
                 raise ConfigError(f"channels {c} not divisible by heads {h}")
@@ -61,15 +73,6 @@ class ModelConfig:
             raise ConfigError(f"stage strides {self.stage_strides} must multiply to 32")
         if self.stage_channels[-1] % self.channel_attn_reduction:
             raise ConfigError("stage-4 channels must be divisible by the channel reduction")
-        positive = (
-            self.in_channels,
-            self.num_classes,
-            self.decoder_channels,
-            self.ffn_expansion,
-            *self.stage_depths,
-        )
-        if any(v < 1 for v in positive):
-            raise ConfigError("config values must be positive")
         if self.spatial_attn_kernel % 2 == 0:
             raise ConfigError("spatial attention kernel must be odd")
 

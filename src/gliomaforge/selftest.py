@@ -14,7 +14,7 @@ import numpy as np
 from .autodiff import Parameter, Tensor, conv3d, transpose_conv3d
 from .autodiff.gradcheck import gradcheck
 from .harmonize import build_cdf, ks_statistic, match_histogram
-from .metrics import connected_components, dice, hd95, keep_largest_per_class
+from .metrics import _boundary, connected_components, dice, hd95, keep_largest_per_class
 from .model import GliomaForgeNet, ModelConfig
 from .nifti import SegmentationMask, Volume, read_volume, write_volume
 from .radiomics import first_order_features
@@ -174,6 +174,14 @@ def suite_metrics(seed):
     b = np.zeros_like(a)
     b[2, 2, 5] = 1
     _check(abs(hd95(a, b, "WT") - 3.0) <= 1e-12, "hd95 of 3-voxel gap")
+    corners = np.zeros((8, 8, 8), dtype=np.uint8)
+    far = corners.copy()
+    corners[0, 0, 0] = far[7, 7, 7] = 1
+    _check(abs(hd95(corners, far, "WT") - 7 * math.sqrt(3)) <= 1e-12, "hd95 across the grid")
+    edge = np.zeros((8, 8, 8), dtype=bool)
+    edge[:3, 2:6, 2:6] = True
+    rim = _boundary(edge)
+    _check(rim[0, 2:6, 2:6].all() and not rim[1, 3:5, 3:5].any(), "grid-edge boundary")
     g = np.zeros((6, 6, 6), dtype=np.uint8)
     g[0, :2, :4] = 3
     p = np.zeros_like(g)

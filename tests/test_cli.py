@@ -174,6 +174,33 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             read_config(path)
 
+    @pytest.mark.parametrize(
+        "key, command",
+        [("seed", "selftest"), ("GLIOMAFORGE_SEED", "selftest"),
+         ("quantiles", "harmonize"), ("quantiles", "predict"), ("bin_width", "features"),
+         ("clusters", "stratify"), ("components", "stratify"), ("folds", "stratify")],
+    )
+    def test_non_numeric_value_is_data_error(self, tmp_path, monkeypatch, capsys, key, command):
+        # every value is parsed before any input is read, so no input needs to exist
+        cfg = tmp_path / "c.cfg"
+        if key == "GLIOMAFORGE_SEED":
+            monkeypatch.setenv(key, "abc")
+            cfg.write_text("")
+        else:
+            monkeypatch.delenv("GLIOMAFORGE_SEED", raising=False)
+            cfg.write_text(f"{key} = abc\n")
+        missing, out = str(tmp_path / "missing"), str(tmp_path / "out")
+        argv = {
+            "selftest": ["selftest"],
+            "harmonize": ["harmonize", "--ref-dir", missing, "--in", missing, "--out", out],
+            "predict": ["predict", "--ckpt", missing, "--in", missing, "--out", out],
+            "features": ["features", "--in", missing, "--out", out],
+            "stratify": ["stratify", "--features", missing, "--out", out],
+        }[command]
+        assert main(argv + ["--config", str(cfg)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "gliomaforge: error:" in err and key in err and "abc" in err
+
 
 class TestDiscovery:
     def test_finds_cases_by_t1(self, workspace):
@@ -281,6 +308,14 @@ class TestTrainingCommands:
         )
         assert rc == EXIT_OK
         assert out.exists() and (tmp_path / "fine.ck.log.csv").exists()
+
+    def test_zero_channel_reduction_is_data_error(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(TINY_CFG + "channel_attn_reduction = 0\n")  # lands in [model]
+        rc = main(["pretrain", "--data", str(workspace["harm"]), "--out", str(tmp_path / "o.ck"),
+                   "--config", str(cfg), "--epochs", "1"])
+        assert rc == EXIT_DATA
+        assert "gliomaforge: error:" in capsys.readouterr().err
 
     def test_finetune_missing_checkpoint_is_data_error(self, workspace, tmp_path):
         rc = main(

@@ -316,6 +316,88 @@ class TestHD95:
             hd95(np.zeros((4, 4, 4)), np.zeros((5, 5, 5)), "WT")
 
 
+# -- bounding-box crops ----------------------------------------------------
+#
+# `hd95` and `keep_largest_per_class` work on the masks' bounding box. A
+# small pattern embedded anywhere in a larger grid, including flush against
+# each grid face, must give the same answer as the pattern on its own.
+
+GRID = (20, 18, 16)
+ANISO = (1.0, 0.9375, 3.0)
+
+
+def _embed(small, offset, shape=GRID):
+    big = np.zeros(shape, dtype=small.dtype)
+    big[tuple(slice(o, o + n) for o, n in zip(offset, small.shape))] = small
+    return big
+
+
+def _offsets(small_shape, shape=GRID):
+    """Centred, then flush against each of the six grid faces."""
+    centre = tuple((n - m) // 2 for n, m in zip(shape, small_shape))
+    out = [centre]
+    for axis in range(3):
+        for edge in (0, shape[axis] - small_shape[axis]):
+            offset = list(centre)
+            offset[axis] = edge
+            out.append(tuple(offset))
+    return out
+
+
+def _hd95_pair():
+    p = np.zeros((5, 4, 6), dtype=np.uint8)
+    g = np.zeros_like(p)
+    p[0:3, 0:3, 0:2] = 1
+    p[4, 3, 5] = 1
+    g[1:5, 1:4, 1:4] = 1
+    g[0, 0, 5] = 1
+    return p, g
+
+
+def _components_pattern():
+    s = np.zeros((6, 5, 7), dtype=np.uint8)
+    s[0, 0, 0:2] = 1  # two-way tie with the blob below; seen first, so it wins
+    s[4, 3, 5:7] = 1
+    s[2:4, 1:3, 2:4] = 2
+    s[5, 4, 0] = 2
+    s[1, 4, 3:6] = 3
+    s[5, 0, 3] = 3
+    return s
+
+
+class TestBoundingBoxCrop:
+    def test_hd95_matches_oracle_at_every_offset(self):
+        p, g = _hd95_pair()
+        want = brute_hd95(p, g, spacing=ANISO)
+        got = {
+            offset: hd95(_embed(p, offset), _embed(g, offset), "WT", spacing=ANISO)
+            for offset in _offsets(p.shape)
+        }
+        assert got[_offsets(p.shape)[0]] == pytest.approx(want, abs=1e-9)
+        assert len(set(got.values())) == 1, got
+
+    def test_hd95_masks_in_opposite_corners(self):
+        # the union box spans the whole grid; the two boxes alone would not
+        p, _ = _hd95_pair()
+        far = tuple(n - m for n, m in zip(GRID, p.shape))
+        a, b = _embed(p, (0, 0, 0)), _embed(p, far)
+        got = hd95(a, b, "WT", spacing=ANISO)
+        assert got == pytest.approx(brute_hd95(a, b, spacing=ANISO), abs=1e-9)
+        assert got == hd95(b, a, "WT", spacing=ANISO)
+
+    def test_keep_largest_commutes_with_offset(self):
+        s = _components_pattern()
+        small = keep_largest_per_class(SegmentationMask(labels=s)).labels
+        expected = s.copy()
+        expected[4, 3, 5:7] = 0  # later half of the tie
+        expected[5, 4, 0] = 0
+        expected[5, 0, 3] = 0
+        np.testing.assert_array_equal(small, expected)
+        for offset in _offsets(s.shape):
+            big = keep_largest_per_class(SegmentationMask(labels=_embed(s, offset))).labels
+            np.testing.assert_array_equal(big, _embed(small, offset), err_msg=str(offset))
+
+
 # -- sensitivity / specificity ---------------------------------------------
 
 

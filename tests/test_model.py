@@ -39,6 +39,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ModelConfig(stage_strides=[4, 2, 2, 4])
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"channel_attn_reduction": 0}, {"channel_attn_reduction": -8},
+         {"stage_heads": [1, 0, 5, 8]}],
+        ids=["reduction-zero", "reduction-negative", "head-zero"],
+    )
+    def test_nonpositive_heads_and_reduction_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            ModelConfig(**kwargs)
+
 
 class TestStem:
     def test_constant_input_interior(self):
