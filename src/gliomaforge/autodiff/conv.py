@@ -170,23 +170,13 @@ def channel_max(x):
 def channel_avg(x):
     """Mean over channels, keeping a singleton channel axis."""
     _require_rank5(x, "channel_avg")
-    c = x.shape[1]
-
-    def backward_fn(g):
-        _accumulate(x, np.broadcast_to(g / c, x.shape))
-
-    return Tensor._from_op(x.data.mean(axis=1, keepdims=True), (x,), backward_fn)
+    return x.mean(axis=1, keepdims=True)
 
 
 def global_avg_pool(x):
     """Mean over all spatial positions: (N,C,D,H,W) -> (N,C)."""
     _require_rank5(x, "global_avg_pool")
-    count = int(np.prod(x.shape[2:]))
-
-    def backward_fn(g):
-        _accumulate(x, np.broadcast_to(g[:, :, None, None, None] / count, x.shape))
-
-    return Tensor._from_op(x.data.mean(axis=(2, 3, 4)), (x,), backward_fn)
+    return x.mean(axis=(2, 3, 4))
 
 
 def _axis_weights(size_in, size_out):

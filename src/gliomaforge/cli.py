@@ -86,11 +86,8 @@ def _load_config(args) -> dict[str, str]:
 
 
 def resolve_seed(args, config) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    if "seed" in config:
-        return cfgmod.number(config, "seed", DEFAULT_SEED)
-    return cfgmod.number(os.environ, "GLIOMAFORGE_SEED", DEFAULT_SEED)
+    source, key = (config, "seed") if "seed" in config else (os.environ, "GLIOMAFORGE_SEED")
+    return cfgmod.option(args.seed, source, key, DEFAULT_SEED)
 
 
 def _map_cases(work, tasks, jobs):
@@ -129,7 +126,7 @@ def _harmonize_one(task):
 
 def cmd_harmonize(args) -> int:
     config = _load_config(args)
-    quantiles = args.quantiles or cfgmod.number(config, "quantiles", DEFAULT_QUANTILES)
+    quantiles = cfgmod.option(args.quantiles, config, "quantiles", DEFAULT_QUANTILES)
     ids = list_case_ids(args.in_dir)
     cdfs = _reference_cdfs(args.ref_dir)
     Path(args.out).mkdir(parents=True, exist_ok=True)
@@ -150,8 +147,8 @@ def _features_one(task):
 
 def cmd_features(args) -> int:
     config = _load_config(args)
-    modality = args.modality or config.get("modality", "flair")
-    bin_width = args.bin_width or cfgmod.number(config, "bin_width", DEFAULT_BIN_WIDTH, float)
+    modality = cfgmod.option(args.modality, config, "modality", "flair", str)
+    bin_width = cfgmod.option(args.bin_width, config, "bin_width", DEFAULT_BIN_WIDTH, float)
     tasks = [(args.in_dir, cid, modality, bin_width) for cid in list_case_ids(args.in_dir)]
     rows = _map_cases(_features_one, tasks, args.jobs)
     with atomic_output(args.out) as tmp:
@@ -166,9 +163,9 @@ def cmd_features(args) -> int:
 def cmd_stratify(args) -> int:
     config = _load_config(args)
     seed = resolve_seed(args, config)
-    k = args.k or cfgmod.number(config, "clusters", DEFAULT_CLUSTERS)
-    components = args.pca or cfgmod.number(config, "components", DEFAULT_COMPONENTS)
-    n_folds = args.folds or cfgmod.number(config, "folds", DEFAULT_FOLDS)
+    k = cfgmod.option(args.k, config, "clusters", DEFAULT_CLUSTERS)
+    components = cfgmod.option(args.pca, config, "components", DEFAULT_COMPONENTS)
+    n_folds = cfgmod.option(args.folds, config, "folds", DEFAULT_FOLDS)
     case_ids, matrix = read_features_csv(args.features)
     # clamp the PCA width to what the cohort can support
     limit = min(len(case_ids) - 1, matrix.shape[1])
@@ -193,9 +190,10 @@ def _load_training_cases(data_dir, ids):
 
 def _train_common(args, epochs_key):
     config = _load_config(args)
-    train_cfg = cfgmod.train_config_from(config, seed=resolve_seed(args, config))
-    epochs = args.epochs or getattr(train_cfg, epochs_key)
-    return config, train_cfg, epochs
+    train_cfg = cfgmod.train_config_from(
+        config, seed=resolve_seed(args, config), **{epochs_key: args.epochs}
+    )
+    return config, train_cfg, getattr(train_cfg, epochs_key)
 
 
 def _holdout(ids, seed):
@@ -295,7 +293,7 @@ def predict_case(
 
 def cmd_predict(args) -> int:
     config = _load_config(args)
-    quantiles = args.quantiles or cfgmod.number(config, "quantiles", DEFAULT_QUANTILES)
+    quantiles = cfgmod.option(args.quantiles, config, "quantiles", DEFAULT_QUANTILES)
     model = _load_model(args, config, resolve_seed(args, config))
     ids = [args.case_id] if args.case_id else list_case_ids(args.in_dir)
     if len(ids) > 1:

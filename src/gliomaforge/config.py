@@ -3,8 +3,9 @@
 A config file is a sequence of `key = value` lines with optional
 `[section]` headers; sectioned keys flatten to `section.key`. Training
 options live under `train.*`, architecture options under `model.*`, and
-pipeline options (seed, quantiles, bin_width, ...) at top level. CLI flags
-always take precedence over file values.
+pipeline options (seed, quantiles, bin_width, ...) at top level. Every
+value is resolved by `option`: a CLI flag that was given beats the file's
+key, which beats the default.
 """
 
 import configparser
@@ -13,8 +14,6 @@ from dataclasses import fields
 from .errors import ConfigError
 from .model import ModelConfig
 from .train import TrainConfig
-
-_LIST_FIELDS = {"stage_channels", "stage_heads", "stage_strides", "stage_depths", "sr_ratios"}
 
 
 def read_config(path) -> dict[str, str]:
@@ -46,37 +45,47 @@ def section(mapping: dict[str, str], prefix: str) -> dict[str, str]:
     return {k[len(start) :]: v for k, v in mapping.items() if k.startswith(start)}
 
 
-def number(mapping, key: str, default, kind=int):
-    """`mapping[key]` parsed by `kind` (int or float), or `default` when absent."""
+def option(flag, mapping, key: str, default, kind=int):
+    """`flag` unless it is None, else `mapping[key]` parsed as `kind`, else
+    `default`.
+
+    `kind` is int, float, str or list[int] (written comma-separated). A flag
+    of 0 counts as given, so range checks downstream see what was typed.
+    """
+    if flag is not None:
+        return flag
     raw = mapping.get(key)
     if raw is None:
         return default
     try:
-        return kind(raw)
+        return [int(v) for v in raw.split(",")] if kind == list[int] else kind(raw)
     except ValueError:
         raise ConfigError(f"bad value {raw!r} for {key!r}") from None
 
 
-def train_config_from(mapping: dict[str, str], **overrides) -> TrainConfig:
-    """TrainConfig from the `train.*` keys plus keyword overrides."""
-    values = section(mapping, "train")
-    values.update({k: str(v) for k, v in overrides.items() if v is not None})
-    return TrainConfig.from_mapping(values)
+def _dataclass_from(cls, mapping: dict[str, str], prefix: str, flags: dict):
+    """`cls` from the `prefix.*` keys, each parsed as its field's declared
+    type; fields with neither a flag nor a key keep their defaults."""
+    kinds = {f.name: f.type for f in fields(cls)}
+    for key in section(mapping, prefix):
+        if key not in kinds:
+            raise ConfigError(f"unknown {prefix} config key {key!r}")
+    values = {
+        name: option(flags.get(name), mapping, f"{prefix}.{name}", None, kind)
+        for name, kind in kinds.items()
+    }
+    return cls(**{name: v for name, v in values.items() if v is not None})
+
+
+def train_config_from(mapping: dict[str, str], **flags) -> TrainConfig:
+    """TrainConfig from the `train.*` keys; a keyword that is not None
+    beats its key."""
+    return _dataclass_from(TrainConfig, mapping, "train", flags)
 
 
 def model_config_from(mapping: dict[str, str]) -> ModelConfig:
     """ModelConfig from the `model.*` keys; list values are comma-separated."""
-    values = section(mapping, "model")
-    known = {f.name for f in fields(ModelConfig)}
-    kwargs = {}
-    for key, raw in values.items():
-        if key not in known:
-            raise ConfigError(f"unknown model config key {key!r}")
-        try:
-            kwargs[key] = [int(v) for v in raw.split(",")] if key in _LIST_FIELDS else int(raw)
-        except ValueError:
-            raise ConfigError(f"bad value {raw!r} for model config key {key!r}") from None
-    return ModelConfig(**kwargs)
+    return _dataclass_from(ModelConfig, mapping, "model", {})
 
 
 def model_config_to_text(config: ModelConfig) -> str:
@@ -84,7 +93,7 @@ def model_config_to_text(config: ModelConfig) -> str:
     lines = []
     for f in fields(ModelConfig):
         value = getattr(config, f.name)
-        if f.name in _LIST_FIELDS:
+        if f.type == list[int]:
             value = ",".join(str(int(v)) for v in value)
         lines.append(f"model.{f.name} = {value}")
     return "\n".join(lines) + "\n"

@@ -35,15 +35,15 @@ def _as_labels(mask) -> np.ndarray:
     return np.asarray(mask)
 
 
-def _region_mask(labels: np.ndarray, region: str) -> np.ndarray:
+def _region_masks(pred, gt, region: str) -> tuple[np.ndarray, np.ndarray]:
+    """Prediction and reference binarized to `region`, of one shape."""
     if region not in REGIONS:
         raise KeyError(f"unknown region {region!r}; expected one of {REGION_NAMES}")
-    return np.isin(labels, REGIONS[region])
-
-
-def _check_dims(pred: np.ndarray, gt: np.ndarray) -> None:
-    if pred.shape != gt.shape:
-        raise ShapeError(f"prediction {pred.shape} vs ground truth {gt.shape}")
+    p = np.isin(_as_labels(pred), REGIONS[region])
+    g = np.isin(_as_labels(gt), REGIONS[region])
+    if p.shape != g.shape:
+        raise ShapeError(f"prediction {p.shape} vs ground truth {g.shape}")
+    return p, g
 
 
 def _bbox(mask: np.ndarray) -> tuple[slice, ...] | None:
@@ -70,17 +70,8 @@ def connected_components(mask, connectivity: int = 26) -> tuple[np.ndarray, int]
         structure = generate_binary_structure(3, 1)
     else:
         raise ValueError(f"connectivity must be 6 or 26, got {connectivity}")
-    raw, count = _scipy_label(mask, structure=structure)
-    if count == 0:
-        return raw.astype(np.int32), 0
-    # renumber so component k is the k-th one encountered in scan order
-    flat = raw.ravel()
-    ids, first = np.unique(flat, return_index=True)
-    keep = ids != 0
-    order = np.argsort(first[keep])
-    remap = np.zeros(int(ids.max()) + 1, dtype=np.int32)
-    remap[ids[keep][order]] = np.arange(1, count + 1, dtype=np.int32)
-    return remap[raw], count
+    # scipy numbers components in the scan order of their first voxel
+    return _scipy_label(mask, structure=structure)
 
 
 def keep_largest_per_class(seg: SegmentationMask) -> SegmentationMask:
@@ -111,13 +102,11 @@ def keep_largest_per_class(seg: SegmentationMask) -> SegmentationMask:
 
 def dice(pred, gt, region: str) -> float:
     """2|P n G| / (|P| + |G|) on the binarized region; both empty -> 1.0."""
-    p = _region_mask(_as_labels(pred), region)
-    g = _region_mask(_as_labels(gt), region)
-    _check_dims(p, g)
-    denom = int(p.sum()) + int(g.sum())
+    p, g = _region_masks(pred, gt, region)
+    denom = int(np.count_nonzero(p)) + int(np.count_nonzero(g))
     if denom == 0:
         return 1.0
-    return 2.0 * int((p & g).sum()) / denom
+    return 2.0 * int(np.count_nonzero(p & g)) / denom
 
 
 def _boundary(mask: np.ndarray) -> np.ndarray:
@@ -138,9 +127,7 @@ def hd95(pred, gt, region: str, spacing=(1.0, 1.0, 1.0)) -> float:
     Distances are Euclidean in millimetres via `spacing`. Both masks empty
     -> 0.0; exactly one empty -> `HD95_SENTINEL` (BraTS convention).
     """
-    p = _region_mask(_as_labels(pred), region)
-    g = _region_mask(_as_labels(gt), region)
-    _check_dims(p, g)
+    p, g = _region_masks(pred, gt, region)
     p_any, g_any = bool(p.any()), bool(g.any())
     if not p_any and not g_any:
         return 0.0
@@ -166,13 +153,11 @@ def sensitivity_specificity(pred, gt, region: str) -> tuple[float, float]:
     An empty denominator scores 1.0 when the prediction agrees (no false
     voxels of the relevant kind) and 0.0 otherwise.
     """
-    p = _region_mask(_as_labels(pred), region)
-    g = _region_mask(_as_labels(gt), region)
-    _check_dims(p, g)
-    tp = int((p & g).sum())
-    fn = int((~p & g).sum())
-    fp = int((p & ~g).sum())
-    tn = int((~p & ~g).sum())
+    p, g = _region_masks(pred, gt, region)
+    tp = int(np.count_nonzero(p & g))
+    n_pred, n_gt = int(np.count_nonzero(p)), int(np.count_nonzero(g))
+    fp, fn = n_pred - tp, n_gt - tp
+    tn = p.size - n_pred - fn
     sensitivity = tp / (tp + fn) if tp + fn else (1.0 if fp == 0 else 0.0)
     specificity = tn / (tn + fp) if tn + fp else (1.0 if fn == 0 else 0.0)
     return float(sensitivity), float(specificity)

@@ -244,9 +244,6 @@ def parse_header(buf: bytes) -> VolumeHeader:
     spacing = tuple(float(s) for s in raw["pixdim"][1:4])
     if any(s <= 0 for s in spacing):
         raise HeaderError(f"nonpositive spacing {spacing}")
-    vox_offset = int(raw["vox_offset"])
-    if magic == MAGIC_PAIR:
-        vox_offset = max(vox_offset, 0)
     slope = float(raw["scl_slope"])
     return VolumeHeader(
         dims=dims,
@@ -255,7 +252,7 @@ def parse_header(buf: bytes) -> VolumeHeader:
         scl_slope=1.0 if slope == 0.0 else slope,
         scl_inter=float(raw["scl_inter"]),
         byte_order=byte_order,
-        vox_offset=max(vox_offset, HEADER_SIZE + 4),
+        vox_offset=max(int(raw["vox_offset"]), HEADER_SIZE + 4),
     )
 
 

@@ -98,6 +98,8 @@ def kmeans(
     Returns (labels, centroids). Deterministic for a given seed; an empty
     cluster seizes the point currently farthest from its own centroid.
     """
+    if k < 1:
+        raise ConfigError(f"k must be at least 1, got {k}")
     matrix = _checked(matrix)
     n = matrix.shape[0]
     if n < k:
@@ -165,6 +167,8 @@ def stratified_folds(
     n = len(case_ids)
     if cluster_labels.size != n:
         raise ConfigError("case_ids and cluster labels have different lengths")
+    if n_folds < 1:
+        raise ConfigError(f"n_folds must be at least 1, got {n_folds}")
     if n < n_folds:
         raise InsufficientDataError(f"need at least {n_folds} cases, got {n}")
     rng = np.random.default_rng(seed)

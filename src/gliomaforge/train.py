@@ -9,7 +9,7 @@ whole run bit for bit.
 
 import csv
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.ndimage import affine_transform
@@ -46,26 +46,17 @@ class TrainConfig:
     def __post_init__(self):
         if min(self.lr, self.batch_size, self.crop_size) <= 0:
             raise ConfigError("lr, batch_size and crop_size must be positive")
+        if min(self.epochs_pretrain, self.epochs_finetune) < 1:
+            raise ConfigError(
+                f"epochs_pretrain {self.epochs_pretrain} and epochs_finetune "
+                f"{self.epochs_finetune} must be at least 1"
+            )
         if self.weight_decay < 0 or self.patience < 0:
             raise ConfigError("weight_decay and patience must be non-negative")
         if self.crop_size % 32:
             raise ConfigError(f"crop_size {self.crop_size} must be divisible by 32")
         if not 0.0 < self.scale_min <= self.scale_max:
             raise ConfigError("scale range must satisfy 0 < min <= max")
-
-    @classmethod
-    def from_mapping(cls, mapping: dict) -> "TrainConfig":
-        values = {}
-        typed = {f.name: f.type for f in fields(cls)}
-        for key, raw in mapping.items():
-            if key not in typed:
-                raise ConfigError(f"unknown train config key {key!r}")
-            caster = int if typed[key] is int else float
-            try:
-                values[key] = caster(raw)
-            except ValueError:
-                raise ConfigError(f"bad value {raw!r} for train config key {key!r}") from None
-        return cls(**values)
 
 
 @dataclass
@@ -327,6 +318,8 @@ def fit(
     keep the best validation checkpoint, stop early on patience."""
     if not train_cases:
         raise ConfigError("fit requires at least one training case")
+    if epochs < 1:
+        raise ConfigError(f"epochs must be at least 1, got {epochs}")
     rng = np.random.default_rng(config.seed)
     optimizer = AdamW(
         model.parameters(),

@@ -202,6 +202,69 @@ class TestConfigFile:
         assert "gliomaforge: error:" in err and key in err and "abc" in err
 
 
+def _features_table(path, n=10):
+    """A random n-row features CSV: enough rows for the default k, folds and
+    PCA width, so only the option under test can fail."""
+    rows = np.random.default_rng(3).normal(size=(n, len(FEATURE_NAMES)))
+    lines = ["case_id," + ",".join(FEATURE_NAMES)]
+    lines += [f"c{i}," + ",".join(repr(float(v)) for v in row) for i, row in enumerate(rows)]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+class TestCountOptions:
+    """A zero or negative count is a data error wherever it is set. A flag of
+    0 was given, so it must reach the range checks, not fall back."""
+
+    def _argv(self, command, workspace, tmp_path):
+        root, raw, ref = workspace["root"], str(workspace["raw"]), str(workspace["ref"])
+        out = str(tmp_path / "out")
+        return {
+            "stratify": ["stratify", "--features", str(_features_table(tmp_path / "f.csv")),
+                         "--out", out],
+            "features": ["features", "--in", raw, "--out", out],
+            "harmonize": ["harmonize", "--ref-dir", ref, "--in", raw, "--out", out],
+            "predict": ["predict", "--ckpt", str(root / "pre.ck"), "--in", raw,
+                        "--case-id", "synth-000", "--ref-dir", ref, "--out", out],
+            "pretrain": ["pretrain", "--data", str(workspace["harm"]), "--out", out],
+        }[command]
+
+    @pytest.mark.parametrize(
+        "command, flag, message",
+        [("stratify", "--k", "got 0"), ("stratify", "--folds", "got 0"),
+         ("stratify", "--pca", "got 0"), ("features", "--bin-width", "got 0.0"),
+         ("harmonize", "--quantiles", "got 0"), ("predict", "--quantiles", "got 0"),
+         ("pretrain", "--epochs", "epochs_pretrain 0 ")],
+        ids=["stratify-k", "stratify-folds", "stratify-pca", "features-bin-width",
+             "harmonize-quantiles", "predict-quantiles", "pretrain-epochs"],
+    )
+    def test_zero_flag_is_data_error(self, workspace, tmp_path, capsys, command, flag, message):
+        argv = self._argv(command, workspace, tmp_path) + [flag, "0"]
+        if command == "pretrain":
+            argv += ["--config", str(workspace["cfg"])]
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "gliomaforge: error:" in err and message in err
+
+    @pytest.mark.parametrize(
+        "command, line, message",
+        [("stratify", "clusters = 0", "got 0"), ("stratify", "clusters = -1", "got -1"),
+         ("stratify", "folds = 0", "got 0"),
+         ("pretrain", "epochs_pretrain = 0", "epochs_pretrain 0 ")],
+        ids=["clusters-zero", "clusters-negative", "folds-zero", "epochs_pretrain-zero"],
+    )
+    def test_nonpositive_config_count_is_data_error(
+        self, workspace, tmp_path, capsys, command, line, message
+    ):
+        cfg = tmp_path / "c.cfg"
+        # the train key goes into TINY_CFG's own [train] section
+        cfg.write_text(TINY_CFG.replace("[train]\n", f"[train]\n{line}\n")
+                       if command == "pretrain" else line + "\n")
+        assert main(self._argv(command, workspace, tmp_path) + ["--config", str(cfg)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "gliomaforge: error:" in err and message in err
+
+
 class TestDiscovery:
     def test_finds_cases_by_t1(self, workspace):
         ids = list_case_ids(workspace["raw"])

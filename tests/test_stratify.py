@@ -158,6 +158,11 @@ class TestKMeans:
         with pytest.raises(InsufficientDataError):
             kmeans(np.zeros((2, 2)), k=3)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_nonpositive_k_rejected(self, k):
+        with pytest.raises(ConfigError, match=f"got {k}"):
+            kmeans(np.eye(4), k=k)
+
 
 class TestStratifiedFolds:
     def test_divisible_counts(self):
@@ -196,6 +201,11 @@ class TestStratifiedFolds:
     def test_too_few_cases(self):
         with pytest.raises(InsufficientDataError):
             stratified_folds(["a", "b"], np.zeros(2, int), n_folds=5)
+
+    @pytest.mark.parametrize("n_folds", [0, -2])
+    def test_nonpositive_fold_count_rejected(self, n_folds):
+        with pytest.raises(ConfigError, match=f"got {n_folds}"):
+            stratified_folds(["a", "b", "c"], np.zeros(3, int), n_folds=n_folds)
 
     def test_lookup(self):
         fa = stratified_folds([f"c{i}" for i in range(6)], np.zeros(6, int), n_folds=5)

@@ -7,6 +7,7 @@ import pytest
 
 from gliomaforge.autodiff import Parameter, Tensor, softmax
 from gliomaforge.autodiff.gradcheck import gradcheck
+from gliomaforge.config import train_config_from
 from gliomaforge.errors import ConfigError, LabelError, TrainingDivergedError
 from gliomaforge.model import GliomaForgeNet, ModelConfig
 from gliomaforge.synthetic import make_dataset
@@ -67,9 +68,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             TrainConfig(scale_min=1.2, scale_max=0.8)
 
-    def test_from_mapping_parses_types(self):
-        cfg = TrainConfig.from_mapping(
-            {"lr": "0.001", "batch_size": "4", "patience": "3", "seed": "7"}
+    @pytest.mark.parametrize("key", ["epochs_pretrain", "epochs_finetune"])
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_rejects_nonpositive_epochs(self, key, epochs):
+        with pytest.raises(ConfigError, match=f"{key} {epochs} "):
+            TrainConfig(**{key: epochs})
+
+    def test_config_from_parses_types(self):
+        cfg = train_config_from(
+            {"train.lr": "0.001", "train.batch_size": "4", "train.patience": "3",
+             "train.seed": "7"}
         )
         assert cfg.lr == 0.001
         # int fields must come back as real ints (seed feeds default_rng)
@@ -77,13 +85,13 @@ class TestConfig:
         assert cfg.patience == 3 and isinstance(cfg.patience, int)
         assert cfg.seed == 7 and isinstance(cfg.seed, int)
 
-    def test_from_mapping_rejects_unknown_key(self):
+    def test_config_from_rejects_unknown_key(self):
         with pytest.raises(ConfigError):
-            TrainConfig.from_mapping({"momentum": "0.9"})
+            train_config_from({"train.momentum": "0.9"})
 
-    def test_from_mapping_rejects_unparseable_value(self):
+    def test_config_from_rejects_unparseable_value(self):
         with pytest.raises(ConfigError):
-            TrainConfig.from_mapping({"batch_size": "two"})
+            train_config_from({"train.batch_size": "two"})
 
 
 class TestOneHot:
@@ -516,6 +524,12 @@ class TestFit:
     def test_requires_training_cases(self):
         with pytest.raises(ConfigError):
             fit(small_model(), [], [], TrainConfig(crop_size=32), epochs=1)
+
+    @pytest.mark.parametrize("epochs", [0, -3])
+    def test_rejects_nonpositive_epochs(self, epochs):
+        cases = synthetic_training_cases(n=1)
+        with pytest.raises(ConfigError, match=f"got {epochs}"):
+            fit(small_model(), cases, [], TrainConfig(crop_size=32), epochs=epochs)
 
     def test_best_params_track_best_epoch(self):
         cases = synthetic_training_cases(n=2)
