@@ -1,17 +1,23 @@
 """Spatial operations on N x C x D x H x W tensors.
 
-conv3d runs im2col + matmul; its input gradient is the col2im scatter
-over the k^3 kernel offsets, and transpose_conv3d is exactly that
-adjoint used as a forward pass. Backward passes recompute the column
-matrix from the saved input instead of caching it, trading a second
-im2col for a much smaller live set on volumetric inputs.
+Dense and 1x1 convs run im2col + matmul. Backward recomputes the column
+matrix from the saved input rather than caching it, and scatters the
+input gradient back with col2im.
 
-When stride == k the windows tile the grid without overlapping, so the
-scatter is no loop: the (k, k, k, do, ho, wo) column axes interleave
-into (do, k, ho, k, wo, k) and reshape onto the grid in one pass, and
-any remainder of the grid past do*k that no window covers stays zero.
-That path serves every 1x1 conv backward, the strided spatial-reduction
-conv backward and the k = stride upsampling transpose convs.
+Depthwise convs (groups == C == O) build no column matrix, which would
+hold k^3 copies of the input. The forward sums the k^3 shifted windows
+tap by tap, each times that tap's per-channel weight, in blocks of
+(N*C) rows and output depth planes so that the running sum and its one
+temporary stay in cache. Backward adds g times each tap's weight into
+that tap's window of the padded grid, and reduces g times each window
+into that tap's weight gradient.
+
+transpose_conv3d is col2im used as a forward pass, fed the columns of
+one leading kernel offset at a time, so no (N, C*k^3, L) array exists.
+When stride == k the windows tile the grid without overlapping: each
+offset's slab is written straight into a view of the output, which then
+needs no zero fill, and a remainder past do*k (conv backward only) stays
+zero. Other strides add the columns in (a, b, q) order.
 """
 
 import numpy as np
@@ -19,6 +25,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import ShapeError
 from .tensor import Tensor, _accumulate
+
+# Elements of one depthwise forward block. The running sum and its one
+# temporary are float32 in the network, so the pair takes 512 KiB, which
+# stays in a 1-2 MiB L2 cache alongside the windows read into it.
+_DEPTHWISE_BLOCK = 1 << 16
 
 
 def _im2col(padded, k, stride):
@@ -31,26 +42,73 @@ def _im2col(padded, k, stride):
     return cols, out_spatial
 
 
+def _windows(k, stride, out_spatial, start=0):
+    """Per kernel offset (a, b, q), row-major: the (D, H, W) slices of the
+    padded grid its window covers, for output depth planes from `start`."""
+    do, ho, wo = out_spatial
+    for a, b, q in np.ndindex(k, k, k):
+        yield (
+            slice(a + start * stride, a + (start + do - 1) * stride + 1, stride),
+            slice(b, b + (ho - 1) * stride + 1, stride),
+            slice(q, q + (wo - 1) * stride + 1, stride),
+        )
+
+
+def _scatter(grid, columns, k, stride, win_spatial):
+    """Put the columns of every kernel offset onto grid, in place.
+
+    columns(a) gives leading offset a's columns, (n, c, k, k, do, ho, wo).
+    With stride == k each voxel of the covered block takes exactly one
+    term, which is written; otherwise they are added into grid.
+    """
+    n, c = grid.shape[:2]
+    do, ho, wo = win_spatial
+    if stride == k:
+        block = grid[:, :, : do * k, : ho * k, : wo * k].reshape(n, c, do, k, ho, k, wo, k)
+        for a in range(k):
+            block[:, :, :, a] = columns(a).transpose(0, 1, 4, 5, 2, 6, 3)
+        return grid
+    for tap, window in enumerate(_windows(k, stride, win_spatial)):
+        a, bq = divmod(tap, k * k)
+        if bq == 0:
+            slab = columns(a).reshape(n, c, k * k, do, ho, wo)
+        grid[(slice(None), slice(None)) + window] += slab[:, :, bq]
+    return grid
+
+
 def _col2im(dcols, grid_shape, k, stride, win_spatial):
     """Adjoint of _im2col: scatter columns back onto the padded grid."""
     n, c = grid_shape[:2]
-    do, ho, wo = win_spatial
+    dcols = dcols.reshape(n, c, k, k, k, *win_spatial)
     grid = np.zeros(grid_shape, dtype=dcols.dtype)
-    dcols = dcols.reshape(n, c, k, k, k, do, ho, wo)
-    if stride == k:
-        # splitting each spatial axis of the covered block is a view, so the
-        # add lands in grid; each voxel gets exactly one term, as in the loop
-        block = grid[:, :, : do * k, : ho * k, : wo * k].reshape(n, c, do, k, ho, k, wo, k)
-        block += dcols.transpose(0, 1, 5, 2, 6, 3, 7, 4)
-        return grid
-    for a in range(k):
-        sa = slice(a, a + (do - 1) * stride + 1, stride)
-        for b in range(k):
-            sb = slice(b, b + (ho - 1) * stride + 1, stride)
-            for q in range(k):
-                sq = slice(q, q + (wo - 1) * stride + 1, stride)
-                grid[:, :, sa, sb, sq] += dcols[:, :, a, b, q]
-    return grid
+    return _scatter(grid, lambda a: dcols[:, :, a], k, stride, win_spatial)
+
+
+def _depthwise(rows, taps, k, stride, out_spatial):
+    """Depthwise forward on (R, Dp, Hp, Wp) rows with (R, k^3) tap weights."""
+    r = rows.shape[0]
+    do, ho, wo = out_spatial
+    plane = ho * wo
+    if do * plane <= _DEPTHWISE_BLOCK:
+        rb, zb = _DEPTHWISE_BLOCK // (do * plane), do
+    else:
+        rb, zb = 1, max(1, _DEPTHWISE_BLOCK // plane)
+    out = np.empty((r, do, ho, wo), dtype=np.result_type(rows, taps))
+    tmp = np.empty((min(rb, r), min(zb, do), ho, wo), dtype=out.dtype)
+    for r0 in range(0, r, rb):
+        for z0 in range(0, do, zb):
+            acc = out[r0 : r0 + rb, z0 : z0 + zb]
+            part = tmp[: acc.shape[0], : acc.shape[1]]
+            weights = taps[r0 : r0 + rb, :, None, None, None]
+            spatial = (acc.shape[1], ho, wo)
+            for tap, window in enumerate(_windows(k, stride, spatial, z0)):
+                win = rows[(slice(r0, r0 + rb),) + window]
+                if tap == 0:
+                    np.multiply(win, weights[:, tap], out=acc)
+                else:
+                    np.multiply(win, weights[:, tap], out=part)
+                    acc += part
+    return out
 
 
 def _require_rank5(x, op):
@@ -77,27 +135,59 @@ def conv3d(x, w, bias=None, stride=1, padding=0, groups=1):
 
     pad = ((0, 0), (0, 0)) + ((padding, padding),) * 3
     padded = np.pad(x.data, pad) if padding else x.data
-    cols, out_spatial = _im2col(padded, k, stride)
-    length = cols.shape[-1]
-    wm = w.data.reshape(groups, o // groups, cg * k**3)
-    out = wm @ cols.reshape(n, groups, cg * k**3, length)
+    depthwise = groups == c == o
+    if depthwise:
+        out_spatial = tuple((s - k) // stride + 1 for s in padded.shape[2:])
+        rows = padded.reshape(n * c, *padded.shape[2:])
+        taps = np.tile(w.data.reshape(c, k**3), (n, 1))
+        out = _depthwise(rows, taps, k, stride, out_spatial)
+    else:
+        cols, out_spatial = _im2col(padded, k, stride)
+        wm = w.data.reshape(groups, o // groups, cg * k**3)
+        out = wm @ cols.reshape(n, groups, cg * k**3, -1)
+    length = int(np.prod(out_spatial))
     out = out.reshape(n, o, *out_spatial)
     if bias is not None:
         out += bias.data.reshape(1, o, 1, 1, 1)
 
     parents = (x, w) if bias is None else (x, w, bias)
 
-    def backward_fn(g):
-        gm = g.reshape(n, groups, o // groups, length)
-        if w.requires_grad or x.requires_grad:
+    def depthwise_backward(g):
+        g_rows = g.reshape(n * c, *out_spatial)
+        part = np.empty_like(g_rows)
+        if x.requires_grad:
+            dpad = np.zeros(padded.shape, dtype=g.dtype)
+            d_rows = dpad.reshape(rows.shape)
+        if w.requires_grad:
+            dw = np.empty((n * c, k**3), dtype=g.dtype)
+        for tap, window in enumerate(_windows(k, stride, out_spatial)):
+            window = (slice(None),) + window
             if w.requires_grad:
-                cols_b, _ = _im2col(padded, k, stride)
-                colsg = cols_b.reshape(n, groups, cg * k**3, length)
-                dw = np.matmul(gm, colsg.transpose(0, 1, 3, 2)).sum(axis=0)
-                _accumulate(w, dw.reshape(w.shape))
+                np.multiply(g_rows, rows[window], out=part)
+                dw[:, tap] = part.reshape(n * c, length).sum(axis=1)
             if x.requires_grad:
-                dcols = np.matmul(wm.transpose(0, 2, 1), gm).reshape(n, c * k**3, length)
-                dpad = _col2im(dcols, padded.shape, k, stride, out_spatial)
+                np.multiply(g_rows, taps[:, tap, None, None, None], out=part)
+                d_rows[window] += part
+        if w.requires_grad:
+            _accumulate(w, dw.reshape(n, c, k**3).sum(axis=0).reshape(w.shape))
+        return dpad if x.requires_grad else None
+
+    def dense_backward(g):
+        gm = g.reshape(n, groups, o // groups, length)
+        if w.requires_grad:
+            cols_b, _ = _im2col(padded, k, stride)
+            colsg = cols_b.reshape(n, groups, cg * k**3, length)
+            dw = np.matmul(gm, colsg.transpose(0, 1, 3, 2)).sum(axis=0)
+            _accumulate(w, dw.reshape(w.shape))
+        if x.requires_grad:
+            dcols = np.matmul(wm.transpose(0, 2, 1), gm).reshape(n, c * k**3, length)
+            return _col2im(dcols, padded.shape, k, stride, out_spatial)
+        return None
+
+    def backward_fn(g):
+        if w.requires_grad or x.requires_grad:
+            dpad = (depthwise_backward if depthwise else dense_backward)(g)
+            if dpad is not None:
                 if padding:
                     dpad = dpad[:, :, padding:-padding, padding:-padding, padding:-padding]
                 _accumulate(x, dpad)
@@ -125,12 +215,16 @@ def transpose_conv3d(x, w, bias=None, stride=1):
     in_spatial = x.shape[2:]
     out_spatial = tuple((s - 1) * stride + k for s in in_spatial)
     length = int(np.prod(in_spatial))
+    xm = x.data.reshape(n, ci, length)
 
-    wm = w.data.reshape(ci, co * k**3)
-    dcols = wm.T @ x.data.reshape(n, 1, ci, length)  # (n, 1, co*k^3, L)
-    out = _col2im(
-        dcols.reshape(n, co * k**3, length), (n, co) + out_spatial, k, stride, in_spatial
-    )
+    def columns(a):
+        slab = w.data[:, :, a].reshape(ci, co * k * k).T @ xm
+        return slab.reshape(n, co, k, k, *in_spatial)
+
+    # stride == k: the slabs cover the output exactly, so it needs no zeros
+    alloc = np.empty if stride == k else np.zeros
+    out = alloc((n, co) + out_spatial, dtype=np.result_type(x.data, w.data))
+    out = _scatter(out, columns, k, stride, in_spatial)
     if bias is not None:
         out += bias.data.reshape(1, co, 1, 1, 1)
 
@@ -141,10 +235,9 @@ def transpose_conv3d(x, w, bias=None, stride=1):
             gcols, win_spatial = _im2col(g.reshape(n, co, *out_spatial), k, stride)
             assert win_spatial == in_spatial
             if x.requires_grad:
-                dx = (wm @ gcols).reshape(x.shape)
+                dx = (w.data.reshape(ci, co * k**3) @ gcols).reshape(x.shape)
                 _accumulate(x, dx)
             if w.requires_grad:
-                xm = x.data.reshape(n, ci, length)
                 dw = np.matmul(xm, gcols.transpose(0, 2, 1)).sum(axis=0)
                 _accumulate(w, dw.reshape(w.shape))
         if bias is not None:

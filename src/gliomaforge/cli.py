@@ -258,6 +258,8 @@ def cmd_finetune(args) -> int:
         train_ids = [cid for cid in ids if int(fold_of[cid]) != args.val_fold]
         if not train_ids:
             raise ConfigError(f"validation fold {args.val_fold} holds every case")
+        if not val_ids:
+            raise ConfigError(f"validation fold {args.val_fold} holds no case in {args.folds}")
     else:
         train_ids, val_ids = _holdout(ids, train_cfg.seed)
     train = _load_training_cases(args.data, train_ids)
@@ -292,6 +294,8 @@ def predict_case(
 
 
 def cmd_predict(args) -> int:
+    if args.quantiles is not None and not args.ref_dir:
+        raise ConfigError("--quantiles sets histogram matching, which needs --ref-dir")
     config = _load_config(args)
     quantiles = cfgmod.option(args.quantiles, config, "quantiles", DEFAULT_QUANTILES)
     model = _load_model(args, config, resolve_seed(args, config))
@@ -388,7 +392,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output mask (.nii or .nii.gz)")
     p.add_argument("--case-id", help="case id when the directory holds several")
     p.add_argument("--ref-dir", help="harmonization reference case directory")
-    p.add_argument("--quantiles", type=int, help="harmonization knots")
+    p.add_argument("--quantiles", type=int, help="harmonization knots (needs --ref-dir)")
     p.add_argument("--no-postprocess", action="store_true", help="skip component filtering")
 
     p = add("evaluate", cmd_evaluate, "score predictions against reference masks")

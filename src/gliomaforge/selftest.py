@@ -131,6 +131,26 @@ def suite_autodiff(seed):
     lhs = float((conv3d(x, w, stride=2).data * y.data).sum())
     rhs = float((transpose_conv3d(y, w, stride=2).data * x.data).sum())
     _check(abs(lhs - rhs) <= 1e-6 * max(abs(lhs), 1.0), "conv/tconv adjoint identity broken")
+    # Depthwise convs run the tap path; a dense conv whose weight is
+    # block-diagonal computes the same sums, and gradients, through im2col.
+    for stride in (1, 2):
+        x = rng.normal(size=(2, 3, 7, 6, 5)).astype(np.float32)
+        w = rng.normal(size=(3, 1, 3, 3, 3)).astype(np.float32)
+        diag = np.zeros((3, 3, 3, 3, 3), dtype=np.float32)
+        diag[np.arange(3), np.arange(3)] = w[:, 0]
+        runs = []
+        for weight, groups in ((w, 3), (diag, 1)):
+            xt, wt = Tensor(x, requires_grad=True), Tensor(weight, requires_grad=True)
+            out = conv3d(xt, wt, stride=stride, padding=1, groups=groups)
+            upstream = np.random.default_rng(seed).normal(size=out.shape).astype(np.float32)
+            (out * Tensor(upstream)).sum().backward()
+            dw = wt.grad[:, 0] if groups == 3 else wt.grad[np.arange(3), np.arange(3)]
+            runs.append((out.data, xt.grad, dw))
+        for got, want, what in zip(runs[0], runs[1], ("forward", "input grad", "weight grad")):
+            _check(
+                np.allclose(got, want, rtol=1e-4, atol=1e-4),
+                f"depthwise conv {what} (stride {stride}) != block-diagonal dense conv",
+            )
 
 
 def suite_model_contract(seed):

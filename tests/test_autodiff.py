@@ -21,6 +21,7 @@ from gliomaforge.autodiff import (
     transpose_conv3d,
     trilinear_resize,
 )
+from gliomaforge.autodiff import conv as conv_module
 from gliomaforge.autodiff.conv import _col2im
 from gliomaforge.errors import CheckpointError, ShapeError
 
@@ -200,6 +201,71 @@ def scatter_loop(dcols, grid_shape, k, stride, win_spatial):
     return grid
 
 
+def block_diagonal(w):
+    """The groups=1 weight of a depthwise weight: channel c reads only c."""
+    c = w.shape[0]
+    full = np.zeros((c, c) + w.shape[2:], dtype=w.dtype)
+    full[np.arange(c), np.arange(c)] = w[:, 0]
+    return full
+
+
+class TestDepthwiseConv:
+    """groups == C == O runs the tap path, not im2col; a dense conv with the
+    block-diagonal weight is its oracle."""
+
+    @pytest.mark.parametrize(
+        "block", [None, 60, 700], ids=["one-block", "plane-blocks", "row-blocks"]
+    )
+    @pytest.mark.parametrize("stride, padding", [(1, 1), (1, 0), (2, 1), (2, 0)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_block_diagonal_dense_conv(
+        self, monkeypatch, block, stride, padding, dtype
+    ):
+        # 7x6x5 leaves a remainder at stride 2; the small blocks split the 10
+        # (N*C) rows 3,3,3,1 or the output depth planes into uneven runs
+        if block is not None:
+            monkeypatch.setattr(conv_module, "_DEPTHWISE_BLOCK", block)
+        rng = np.random.default_rng(40 + stride + padding)
+        x = rng.normal(size=(2, 5, 7, 6, 5)).astype(dtype)
+        w = rng.normal(size=(5, 1, 3, 3, 3)).astype(dtype)
+        b = rng.normal(size=(5,)).astype(dtype)
+        out = conv3d(Tensor(x), Tensor(w), bias=Tensor(b), stride=stride, padding=padding,
+                     groups=5)
+        ref = conv3d(Tensor(x), Tensor(block_diagonal(w)), bias=Tensor(b), stride=stride,
+                     padding=padding)
+        assert out.dtype == dtype and out.shape == ref.shape
+        tol = 1e-5 if dtype == np.float32 else 1e-12
+        np.testing.assert_allclose(out.data, ref.data, rtol=tol, atol=tol)
+
+    # A fixed random upstream weight, not .sum(): a forward and backward that
+    # both mirror the tap index pass a constant upstream gradient.
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_gradcheck_weighted(self, stride):
+        rng = np.random.default_rng(50 + stride)
+        x = rng.normal(size=(2, 3, 5, 4, 5))
+        probe = conv3d(Tensor(x), Tensor(np.zeros((3, 1, 3, 3, 3))), stride=stride, padding=1,
+                       groups=3)
+        weight = Tensor(rng.normal(size=probe.shape))
+        err = gradcheck(
+            lambda t: (conv3d(t[0], t[1], bias=t[2], stride=stride, padding=1, groups=3)
+                       * weight).sum(),
+            [x, rng.normal(size=(3, 1, 3, 3, 3)), rng.normal(size=(3,))],
+        )
+        assert err < 1e-4
+
+    def test_never_builds_columns(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("depthwise conv called _im2col")
+
+        monkeypatch.setattr(conv_module, "_im2col", refuse)
+        rng = np.random.default_rng(52)
+        x = Tensor(rng.normal(size=(1, 2, 4, 4, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(2, 1, 3, 3, 3)), requires_grad=True)
+        conv3d(x, w, stride=2, padding=1, groups=2).sum().backward()
+        assert x.grad.shape == x.shape and w.grad.shape == w.shape
+
+
 class TestNonOverlappingWindows:
     """stride == k: the col2im reshape, and gradients through it."""
 
@@ -291,6 +357,21 @@ class TestTransposeConv3d:
             ],
         )
         assert err < 1e-4
+
+    @pytest.mark.parametrize("k, stride", [(2, 2), (4, 4), (3, 2)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_equals_full_columns_scattered(self, k, stride, dtype):
+        # the offset-at-a-time slabs reproduce the whole column matrix's bytes
+        rng = np.random.default_rng(60 + k)
+        n, ci, co, spatial = 2, 48, 48, (4, 3, 2)
+        x = rng.normal(size=(n, ci, *spatial)).astype(dtype)
+        w = rng.normal(size=(ci, co, k, k, k)).astype(dtype)
+        out = transpose_conv3d(Tensor(x), Tensor(w), stride=stride).data
+        dcols = w.reshape(ci, co * k**3).T @ x.reshape(n, ci, -1)
+        grid = (n, co) + tuple((s - 1) * stride + k for s in spatial)
+        ref = scatter_loop(dcols, grid, k, stride, spatial)
+        assert out.dtype == ref.dtype
+        assert out.tobytes() == ref.tobytes()
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):

@@ -372,6 +372,18 @@ class TestTrainingCommands:
         assert rc == EXIT_OK
         assert out.exists() and (tmp_path / "fine.ck.log.csv").exists()
 
+    def test_finetune_val_fold_holding_no_case_is_data_error(self, workspace, tmp_path, capsys):
+        root = workspace["root"]
+        out = tmp_path / "fine.ck"
+        rc = main(
+            ["finetune", "--data", str(workspace["harm"]), "--folds", str(root / "folds.csv"),
+             "--val-fold", "9", "--ckpt", str(root / "pre.ck"), "--out", str(out),
+             "--config", str(workspace["cfg"]), "--epochs", "1"]
+        )
+        assert rc == EXIT_DATA
+        assert "validation fold 9 holds no case" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_channel_reduction_is_data_error(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(TINY_CFG + "channel_attn_reduction = 0\n")  # lands in [model]
@@ -447,6 +459,16 @@ class TestPredictCommand:
             argv += ["--config", str(tmp_path / "bad.cfg")]
         assert main(argv) == EXIT_DATA
         assert "gliomaforge: error:" in capsys.readouterr().err
+
+    def test_quantiles_flag_needs_ref_dir(self, workspace, tmp_path, capsys):
+        argv = ["predict", "--ckpt", str(workspace["root"] / "pre.ck"),
+                "--in", str(self._case_dir(workspace, tmp_path)), "--out", str(tmp_path / "seg.nii")]
+        assert main(argv + ["--quantiles", "64"]) == EXIT_DATA
+        assert "--ref-dir" in capsys.readouterr().err
+        # the config key is shared with harmonize, so it alone is no error
+        cfg = tmp_path / "q.cfg"
+        cfg.write_text("quantiles = 64\n")
+        assert main(argv + ["--config", str(cfg)]) == EXIT_OK
 
     def test_multi_case_dir_needs_case_id(self, workspace, tmp_path):
         out = tmp_path / "seg.nii"
