@@ -18,7 +18,6 @@ never mutated in place; accumulation always allocates.
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.special import erf
 
 from ..errors import ShapeError
 
@@ -217,6 +216,8 @@ class Tensor:
 
     def gelu(self):
         """Exact (erf-based) GELU."""
+        from scipy.special import erf
+
         inv_sqrt2 = self.data.dtype.type(1.0 / np.sqrt(2.0))
         sqrt_2pi = self.data.dtype.type(np.sqrt(2.0 * np.pi))
         cdf = 0.5 * (1.0 + erf(self.data * inv_sqrt2))

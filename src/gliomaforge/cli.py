@@ -141,13 +141,15 @@ def cmd_harmonize(args) -> int:
 
 def _features_one(task):
     in_dir, case_id, modality, bin_width = task
-    case = load_case(in_dir, case_id)
+    case = load_case(in_dir, case_id, decode=(modality,))
     return extract_case_features(case, modality=modality, bin_width=bin_width)
 
 
 def cmd_features(args) -> int:
     config = _load_config(args)
     modality = cfgmod.option(args.modality, config, "modality", "flair", str)
+    if modality not in MODALITIES:
+        raise ConfigError(f"modality {modality!r} is not one of {list(MODALITIES)}")
     bin_width = cfgmod.option(args.bin_width, config, "bin_width", DEFAULT_BIN_WIDTH, float)
     tasks = [(args.in_dir, cid, modality, bin_width) for cid in list_case_ids(args.in_dir)]
     rows = _map_cases(_features_one, tasks, args.jobs)

@@ -127,10 +127,12 @@ def match_histogram(source: Volume, ref_cdf: EmpiricalCDF, quantiles: int = 256)
     fg = source.data != 0
     if not fg.any():
         raise EmptyForegroundError("source volume has no nonzero voxels")
-    mapping = HarmonizationMapping.fit(source.data[fg], ref_cdf, quantiles=quantiles)
-    out = source.data.astype(np.float64)
-    out[fg] = mapping.apply(out[fg])
-    return Volume(header=source.header, data=out.astype(np.float32))
+    values = source.data[fg]
+    mapping = HarmonizationMapping.fit(values, ref_cdf, quantiles=quantiles)
+    out = source.data.copy()
+    # the float64 mapped values round to float32 once, on assignment
+    out[fg] = mapping.apply(values)
+    return Volume(header=source.header, data=out)
 
 
 def zscore_normalize(volume: Volume, mask: np.ndarray | None = None) -> Volume:

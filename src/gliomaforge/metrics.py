@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import binary_erosion, distance_transform_edt
-from scipy.ndimage import generate_binary_structure, label as _scipy_label
 
 from .errors import PairingError, ShapeError
 from .nifti import SegmentationMask, _find_file, list_mask_ids, load_mask
@@ -26,6 +24,15 @@ REGIONS = {
 }
 REGION_NAMES = tuple(REGIONS)
 
+# The same regions by integer arithmetic on uint8 labels, equal to np.isin
+# with REGIONS on all 256 values: 0 - 1 wraps to 255, and l | 2 == 3 holds
+# only for 1 and 3.
+_UINT8_REGIONS = {
+    "WT": lambda labels: (labels - np.uint8(1)) < 3,
+    "TC": lambda labels: (labels | np.uint8(2)) == 3,
+    "ET": lambda labels: labels == 3,
+}
+
 HD95_SENTINEL = 373.13
 
 
@@ -35,12 +42,18 @@ def _as_labels(mask) -> np.ndarray:
     return np.asarray(mask)
 
 
+def _region_mask(labels: np.ndarray, region: str) -> np.ndarray:
+    if labels.dtype == np.uint8:
+        return _UINT8_REGIONS[region](labels)
+    return np.isin(labels, REGIONS[region])
+
+
 def _region_masks(pred, gt, region: str) -> tuple[np.ndarray, np.ndarray]:
     """Prediction and reference binarized to `region`, of one shape."""
     if region not in REGIONS:
         raise KeyError(f"unknown region {region!r}; expected one of {REGION_NAMES}")
-    p = np.isin(_as_labels(pred), REGIONS[region])
-    g = np.isin(_as_labels(gt), REGIONS[region])
+    p = _region_mask(_as_labels(pred), region)
+    g = _region_mask(_as_labels(gt), region)
     if p.shape != g.shape:
         raise ShapeError(f"prediction {p.shape} vs ground truth {g.shape}")
     return p, g
@@ -63,6 +76,8 @@ def _bbox(mask: np.ndarray) -> tuple[slice, ...] | None:
 
 def connected_components(mask, connectivity: int = 26) -> tuple[np.ndarray, int]:
     """Label maximal connected sets 1..K in first-seen scan order."""
+    from scipy.ndimage import generate_binary_structure, label
+
     mask = np.asarray(_as_labels(mask)) != 0
     if connectivity == 26:
         structure = generate_binary_structure(3, 3)
@@ -71,7 +86,7 @@ def connected_components(mask, connectivity: int = 26) -> tuple[np.ndarray, int]
     else:
         raise ValueError(f"connectivity must be 6 or 26, got {connectivity}")
     # scipy numbers components in the scan order of their first voxel
-    return _scipy_label(mask, structure=structure)
+    return label(mask, structure=structure)
 
 
 def keep_largest_per_class(seg: SegmentationMask) -> SegmentationMask:
@@ -115,6 +130,8 @@ def _boundary(mask: np.ndarray) -> np.ndarray:
     The volume border counts as outside, so a mask touching the edge still
     has a boundary there.
     """
+    from scipy.ndimage import binary_erosion, generate_binary_structure
+
     interior = binary_erosion(
         mask, structure=generate_binary_structure(3, 1), border_value=0
     )
@@ -127,6 +144,8 @@ def hd95(pred, gt, region: str, spacing=(1.0, 1.0, 1.0)) -> float:
     Distances are Euclidean in millimetres via `spacing`. Both masks empty
     -> 0.0; exactly one empty -> `HD95_SENTINEL` (BraTS convention).
     """
+    from scipy.ndimage import distance_transform_edt
+
     p, g = _region_masks(pred, gt, region)
     p_any, g_any = bool(p.any()), bool(g.any())
     if not p_any and not g_any:

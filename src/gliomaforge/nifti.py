@@ -13,6 +13,7 @@ Cases follow the naming convention ``<case_id>-{t1,t1ce,t2,flair,seg}.nii``.
 from __future__ import annotations
 
 import gzip
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -166,8 +167,13 @@ class SegmentationMask:
         self.labels = np.asarray(self.labels)
         if self.labels.ndim != 3:
             raise AlignmentError(f"expected a 3-D label grid, got shape {self.labels.shape}")
-        if not np.isin(self.labels, VALID_LABELS).all():
-            bad = sorted(set(np.unique(self.labels)) - set(VALID_LABELS))
+        if self.labels.dtype.kind in "iu" and self.labels.size:
+            # VALID_LABELS is the range 0..3, so two reductions decide membership
+            valid = self.labels.min() >= 0 and self.labels.max() <= VALID_LABELS[-1]
+        else:
+            valid = np.isin(self.labels, VALID_LABELS).all()
+        if not valid:
+            bad = sorted(set(np.unique(self.labels).tolist()) - set(VALID_LABELS))
             raise LabelError(f"mask contains labels outside {{0,1,2,3}}: {bad}")
         self.labels = self.labels.astype(np.uint8)
 
@@ -176,36 +182,49 @@ class SegmentationMask:
         return self.labels.shape
 
 
+def _check_aligned(case_id: str, grids: dict, label: "SegmentationMask | None") -> None:
+    """Raise AlignmentError unless every grid (a Volume or a VolumeHeader)
+    shares one dims and one spacing, and the label, if any, those dims."""
+    dims = {m: tuple(g.dims) for m, g in grids.items()}
+    spacings = {m: tuple(g.spacing) for m, g in grids.items()}
+    if len(set(dims.values())) != 1:
+        raise AlignmentError(f"case {case_id}: modality dims differ: {dims}")
+    if len(set(spacings.values())) != 1:
+        raise AlignmentError(f"case {case_id}: modality spacings differ: {spacings}")
+    image_dims = next(iter(dims.values()))
+    if label is not None and label.dims != image_dims:
+        raise AlignmentError(
+            f"case {case_id}: label dims {label.dims} != image dims {image_dims}"
+        )
+
+
 @dataclass
 class MultiModalCase:
-    """Aligned T1/T1CE/T2/FLAIR volumes (+ optional label mask) for one subject."""
+    """Aligned T1/T1CE/T2/FLAIR volumes (+ optional label mask) for one subject.
+
+    A case holds all four modalities, except one from
+    `load_case(..., decode=...)`, which holds only the decoded ones.
+    """
 
     case_id: str
     modalities: dict[str, Volume] = field(default_factory=dict)
     label: SegmentationMask | None = None
 
     def __post_init__(self):
-        missing = [m for m in MODALITIES if m not in self.modalities]
-        if missing:
-            raise AlignmentError(f"case {self.case_id}: missing modalities {missing}")
-        dims = {m: v.dims for m, v in self.modalities.items()}
-        spacings = {m: v.spacing for m, v in self.modalities.items()}
-        if len(set(dims.values())) != 1:
-            raise AlignmentError(f"case {self.case_id}: modality dims differ: {dims}")
-        if len(set(spacings.values())) != 1:
-            raise AlignmentError(f"case {self.case_id}: modality spacings differ: {spacings}")
-        if self.label is not None and self.label.dims != self.dims:
+        if not self.modalities or not set(self.modalities) <= set(MODALITIES):
             raise AlignmentError(
-                f"case {self.case_id}: label dims {self.label.dims} != image dims {self.dims}"
+                f"case {self.case_id}: modalities {sorted(self.modalities)} are not "
+                f"one or more of {list(MODALITIES)}"
             )
+        _check_aligned(self.case_id, self.modalities, self.label)
 
     @property
     def dims(self) -> tuple[int, int, int]:
-        return self.modalities[MODALITIES[0]].dims
+        return next(iter(self.modalities.values())).dims
 
     @property
     def spacing(self) -> tuple[float, float, float]:
-        return self.modalities[MODALITIES[0]].spacing
+        return next(iter(self.modalities.values())).spacing
 
     def stack(self) -> np.ndarray:
         """Channel-stacked (4, D, H, W) float32 array in T1/T1CE/T2/FLAIR order."""
@@ -256,23 +275,39 @@ def parse_header(buf: bytes) -> VolumeHeader:
     )
 
 
+def _check_length(header: VolumeHeader, length: int) -> None:
+    """Raise TruncatedDataError unless a file of `length` bytes holds the
+    whole payload `header` declares."""
+    nbytes = header.voxel_count * np.dtype(header.datatype).itemsize
+    got = max(0, min(length - header.vox_offset, nbytes))
+    if got < nbytes:
+        raise TruncatedDataError(
+            f"payload truncated: need {nbytes} bytes at offset {header.vox_offset}, got {got}"
+        )
+
+
+def _raw_grid(buf: bytes, header: VolumeHeader) -> np.ndarray:
+    """The payload as a read-only view in the file's dtype, first axis fastest."""
+    _check_length(header, len(buf))
+    voxel_dtype = np.dtype(header.datatype).newbyteorder(header.byte_order)
+    raw = np.frombuffer(buf, dtype=voxel_dtype, count=header.voxel_count, offset=header.vox_offset)
+    return raw.reshape(header.dims, order="F")
+
+
+def _is_scaled(header: VolumeHeader) -> bool:
+    return header.scl_slope != 1.0 or header.scl_inter != 0.0
+
+
 def read_volume(buf: bytes) -> Volume:
     """Decode a full single-file NIfTI-1 buffer into a float32 Volume."""
     header = parse_header(buf)
-    voxel_dtype = np.dtype(header.datatype).newbyteorder(header.byte_order)
-    nbytes = header.voxel_count * voxel_dtype.itemsize
-    payload = buf[header.vox_offset : header.vox_offset + nbytes]
-    if len(payload) < nbytes:
-        raise TruncatedDataError(
-            f"payload truncated: need {nbytes} bytes at offset {header.vox_offset}, "
-            f"got {len(payload)}"
-        )
-    raw = np.frombuffer(payload, dtype=voxel_dtype).reshape(header.dims, order="F")
-    data = raw.astype(np.float32)
-    if header.scl_slope != 1.0 or header.scl_inter != 0.0:
-        data = data * np.float32(header.scl_slope) + np.float32(header.scl_inter)
+    # one pass converts dtype and byte order and reorders to C layout
+    data = np.array(_raw_grid(buf, header), dtype=np.float32, order="C")
+    if _is_scaled(header):
+        data *= np.float32(header.scl_slope)
+        data += np.float32(header.scl_inter)
     canonical = VolumeHeader(dims=header.dims, spacing=header.spacing)
-    return Volume(header=canonical, data=np.ascontiguousarray(data))
+    return Volume(header=canonical, data=data)
 
 
 def _encode(data: np.ndarray, spacing, datatype_code: int) -> bytes:
@@ -308,24 +343,48 @@ def write_mask(mask: SegmentationMask) -> bytes:
 
 def read_mask(buf: bytes, remap_label_4: bool = True) -> SegmentationMask:
     """Decode a segmentation file, optionally remapping legacy label 4 -> 3."""
-    vol = read_volume(buf)
-    labels = vol.data
-    rounded = np.rint(labels)
-    if not np.array_equal(labels, rounded):
-        raise LabelError("segmentation contains non-integer values")
-    labels = rounded.astype(np.int64)
+    header = parse_header(buf)
+    if header.datatype == "uint8" and not _is_scaled(header):
+        # uint8 labels are integers already: copy them out in C layout
+        labels = np.array(_raw_grid(buf, header), order="C")
+    else:
+        data = read_volume(buf).data
+        rounded = np.rint(data)
+        if not np.array_equal(data, rounded):
+            raise LabelError("segmentation contains non-integer values")
+        labels = rounded.astype(np.int64)
     if remap_label_4:
         labels[labels == 4] = 3
     # SegmentationMask validates before its uint8 cast, so 259 or -1 cannot wrap
-    return SegmentationMask(labels=labels, spacing=vol.spacing)
+    return SegmentationMask(labels=labels, spacing=header.spacing)
 
 
 def _read_bytes(path: Path) -> bytes:
     path = Path(path)
     if path.suffix == ".gz":
-        with gzip.open(path, "rb") as fh:
-            return fh.read()
+        # one-shot: checks the CRC and length of every member, like GzipFile
+        return gzip.decompress(path.read_bytes())
     return path.read_bytes()
+
+
+def read_header(path) -> VolumeHeader:
+    """The header of a .nii or .nii.gz file, after every check `load_volume`
+    makes short of decoding the voxels.
+
+    A ``.nii`` is checked against its size on disk; a ``.nii.gz`` is
+    decompressed in full, so its CRC and length are checked too.
+    """
+    path = Path(path)
+    if path.suffix == ".gz":
+        buf = _read_bytes(path)
+        length = len(buf)
+    else:
+        with open(path, "rb") as fh:
+            buf = fh.read(HEADER_SIZE)
+            length = os.fstat(fh.fileno()).st_size
+    header = parse_header(buf)
+    _check_length(header, length)
+    return header
 
 
 def load_volume(path) -> Volume:
@@ -348,12 +407,10 @@ def load_mask(path, remap_label_4: bool = True) -> SegmentationMask:
 
 def _write_file(path: Path, buf: bytes) -> None:
     if path.suffix == ".gz":
-        # mtime pinned so identical volumes produce identical bytes
-        with open(path, "wb") as fh:
-            with gzip.GzipFile(fileobj=fh, mode="wb", mtime=0) as gz:
-                gz.write(buf)
-    else:
-        path.write_bytes(buf)
+        # mtime 0 and no file name in the gzip header, so identical volumes
+        # produce identical bytes whatever the (temporary) file is called
+        buf = gzip.compress(buf, mtime=0)
+    path.write_bytes(buf)
 
 
 def _find_file(directory: Path, *stems: str) -> Path | None:
@@ -366,24 +423,32 @@ def _find_file(directory: Path, *stems: str) -> Path | None:
     return None
 
 
-def load_case(directory, case_id: str, remap_label_4: bool = True) -> MultiModalCase:
+def load_case(
+    directory, case_id: str, remap_label_4: bool = True, decode: tuple[str, ...] = MODALITIES
+) -> MultiModalCase:
     """Assemble a MultiModalCase from ``<case_id>-<mod>.nii[.gz]`` files.
 
-    All four modalities must be present and aligned; ``<case_id>-seg`` is
-    optional. Raises FileNotFoundError for a missing modality, AlignmentError
-    for dim/spacing mismatches and LabelError for out-of-range labels.
+    All four modalities must be present, whole and aligned; ``<case_id>-seg``
+    is optional. Only the modalities in `decode` are decoded and kept in the
+    case; the others pass the same checks from their headers (`read_header`).
+    Raises FileNotFoundError for a missing modality, AlignmentError for
+    dim/spacing mismatches and LabelError for out-of-range labels.
     """
     directory = Path(directory)
-    modalities = {}
+    modalities, grids = {}, {}
     for mod in MODALITIES:
         path = _find_file(directory, f"{case_id}-{mod}")
         if path is None:
             raise FileNotFoundError(f"missing file {directory / (case_id + '-' + mod)}.nii[.gz]")
-        modalities[mod] = load_volume(path)
+        if mod in decode:
+            grids[mod] = modalities[mod] = load_volume(path)
+        else:
+            grids[mod] = read_header(path)
     label = None
     seg_path = _find_file(directory, f"{case_id}-seg")
     if seg_path is not None:
         label = load_mask(seg_path, remap_label_4=remap_label_4)
+    _check_aligned(case_id, grids, label)
     return MultiModalCase(case_id=case_id, modalities=modalities, label=label)
 
 

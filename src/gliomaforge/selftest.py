@@ -16,7 +16,15 @@ from .autodiff.gradcheck import gradcheck
 from .harmonize import build_cdf, ks_statistic, match_histogram
 from .metrics import _boundary, connected_components, dice, hd95, keep_largest_per_class
 from .model import GliomaForgeNet, ModelConfig
-from .nifti import SegmentationMask, Volume, read_volume, write_volume
+from .nifti import (
+    DEFAULT_VOX_OFFSET,
+    SegmentationMask,
+    Volume,
+    read_mask,
+    read_volume,
+    write_mask,
+    write_volume,
+)
 from .radiomics import first_order_features
 from .stratify import kmeans, pca_fit_transform, standardize, stratified_folds
 from .synthetic import make_dataset
@@ -47,6 +55,15 @@ def suite_format_roundtrip(seed):
         _check(
             np.allclose(back.spacing, vol.spacing, atol=1e-6), "spacing changed in round-trip"
         )
+    # a uint8 mask decodes without a float detour; a legacy label 4 becomes 3
+    labels = rng.integers(0, 4, size=(5, 6, 7)).astype(np.uint8)
+    buf = bytearray(write_mask(SegmentationMask(labels=labels, spacing=(1.0, 1.0, 2.0))))
+    buf[DEFAULT_VOX_OFFSET] = 4  # voxel (0, 0, 0) comes first on disk
+    back = read_mask(bytes(buf))
+    labels[0, 0, 0] = 3
+    _check(np.array_equal(back.labels, labels), "uint8 mask changed in round-trip")
+    _check(back.labels.flags.c_contiguous, "uint8 mask not in C layout")
+    _check(back.spacing == (1.0, 1.0, 2.0), "mask spacing changed in round-trip")
 
 
 def suite_harmonization(seed):

@@ -11,7 +11,6 @@ convention used by harmonization.
 """
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .nifti import MODALITIES, MultiModalCase, SegmentationMask, Volume
 
@@ -45,6 +44,8 @@ def make_case(
     with_tumor: bool = True,
 ) -> MultiModalCase:
     """Build one deterministic phantom case with all four modalities."""
+    from scipy.ndimage import gaussian_filter
+
     rng = np.random.default_rng(seed)
     shape = tuple(int(s) for s in shape)
     center = np.asarray(shape) / 2.0 + rng.uniform(-1.5, 1.5, size=3)

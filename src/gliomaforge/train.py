@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import affine_transform
 
 from .autodiff import Tensor, no_grad, softmax
 from .errors import ConfigError, LabelError, TrainingDivergedError
@@ -216,6 +215,8 @@ def apply_augmentation(
     Images resample trilinearly, labels nearest-neighbor, so label values
     stay inside the original label set.
     """
+    from scipy.ndimage import affine_transform
+
     flip_axes = tuple(i for i, f in enumerate(params.flips) if f)
     if flip_axes:
         images = np.flip(images, axis=tuple(a + 1 for a in flip_axes))

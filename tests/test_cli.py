@@ -1,11 +1,16 @@
 """Tests for the command-line pipeline and config plumbing."""
 
 import argparse
+import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gliomaforge
+from gliomaforge import nifti
 from gliomaforge.cli import (
     EXIT_DATA,
     EXIT_OK,
@@ -24,7 +29,7 @@ from gliomaforge.config import (
 from gliomaforge.errors import ConfigError
 from gliomaforge.metrics import read_metrics_csv
 from gliomaforge.model import ModelConfig
-from gliomaforge.nifti import list_case_ids, load_mask, load_volume, save_case
+from gliomaforge.nifti import list_case_ids, load_mask, load_volume, save_case, save_volume
 from gliomaforge.radiomics import FEATURE_NAMES
 from gliomaforge.stratify import read_folds_csv
 from gliomaforge.synthetic import make_case, make_dataset
@@ -139,6 +144,17 @@ class TestAtomicOutput:
             tmp.write_text("x")
         assert target.read_text() == "x"
 
+    def test_gz_writes_of_one_volume_are_byte_equal(self, tmp_path):
+        # the temp name differs per output and per process; it must not
+        # reach the gzip header
+        volume = make_case("gz", shape=(8, 8, 8), seed=1).modalities["t1"]
+        for name in ("a.nii.gz", "b.nii.gz"):
+            with atomic_output(tmp_path / name) as tmp:
+                save_volume(tmp, volume)
+        a, b = (tmp_path / "a.nii.gz").read_bytes(), (tmp_path / "b.nii.gz").read_bytes()
+        assert a == b
+        assert a[3] == 0  # gzip FLG: no FNAME field
+
 
 class TestConfigFile:
     def test_flat_and_sectioned_keys(self, tmp_path):
@@ -210,6 +226,32 @@ def _features_table(path, n=10):
     lines += [f"c{i}," + ",".join(repr(float(v)) for v in row) for i, row in enumerate(rows)]
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+_NO_SCIPY_SCRIPT = """
+import sys
+import gliomaforge
+assert "scipy" not in sys.modules, "import gliomaforge"
+from gliomaforge import cli
+assert "scipy" not in sys.modules, "import gliomaforge.cli"
+rc = cli.main(["stratify", "--features", sys.argv[1], "--k", "2", "--folds", "2",
+               "--out", sys.argv[2], "--seed", "1"])
+assert rc == 0, rc
+assert "scipy" not in sys.modules, "stratify"
+"""
+
+
+def test_scipy_is_imported_only_where_used(tmp_path):
+    """Import and the subcommands that never call scipy do not pay for it."""
+    src = os.path.dirname(os.path.dirname(gliomaforge.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    table = _features_table(tmp_path / "f.csv", n=6)
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, str(table), str(tmp_path / "folds.csv")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "folds.csv").exists()
 
 
 class TestCountOptions:
@@ -330,6 +372,44 @@ class TestFeaturesCommand:
         text = (workspace["root"] / "features.csv").read_text().strip().splitlines()
         assert text[0] == "case_id," + ",".join(FEATURE_NAMES)
         assert len(text) == 1 + 4
+
+    @pytest.mark.parametrize(
+        "fault,named",
+        [("missing-t2", "bad-t2.nii"), ("t2-dims", "case bad: modality dims differ"),
+         ("t2-spacing", "case bad: modality spacings differ"),
+         ("truncated-t2", "payload truncated"), ("seg-label-5", "labels outside {0,1,2,3}")],
+    )
+    def test_unchosen_file_faults_are_data_errors(self, tmp_path, capsys, fault, named):
+        # features decodes only FLAIR; the other files are still checked.
+        # Truncation and label errors name neither the file nor the case.
+        case = make_case("bad", shape=(8, 8, 8), seed=2)
+        save_case(tmp_path, case)
+        t2 = tmp_path / "bad-t2.nii"
+        if fault == "missing-t2":
+            t2.unlink()
+        elif fault == "t2-dims":
+            save_volume(t2, make_case("x", shape=(8, 8, 9), seed=2).modalities["t2"])
+        elif fault == "t2-spacing":
+            other = make_case("x", shape=(8, 8, 8), seed=2, spacing=(1.0, 1.0, 2.0))
+            save_volume(t2, other.modalities["t2"])
+        elif fault == "truncated-t2":
+            t2.write_bytes(t2.read_bytes()[:-1])
+        else:
+            labels = case.label.labels.copy()
+            labels[0, 0, 0] = 5
+            (tmp_path / "bad-seg.nii").write_bytes(nifti._encode(labels, case.spacing, 2))
+        rc = main(["features", "--in", str(tmp_path), "--out", str(tmp_path / "f.csv")])
+        assert rc == EXIT_DATA
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "f.csv").exists()
+
+    def test_unknown_config_modality_is_data_error(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("modality = t2w\n")
+        rc = main(["features", "--in", str(workspace["harm"]), "--out", str(tmp_path / "f.csv"),
+                   "--config", str(cfg)])
+        assert rc == EXIT_DATA
+        assert "t2w" in capsys.readouterr().err
 
 
 class TestStratifyCommand:

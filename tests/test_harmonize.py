@@ -112,6 +112,22 @@ class TestMatchHistogram:
         twice = match_histogram(once, ref_cdf, quantiles=256)
         assert np.allclose(twice.data, once.data, atol=1e-6)
 
+    @pytest.mark.parametrize("quantiles", [2, 16, 256])
+    def test_equals_float64_grid_formula(self, quantiles):
+        src = ball_volume(seed=13, shift=1.0, scale=4.0)
+        src.data[0, 0, :4] = -0.0  # background of either sign stays as it is
+        src.data[0, 1, 0] = -3.5  # a negative foreground voxel
+        ref_cdf = build_cdf(ball_volume(seed=14).data)
+        fg = src.data != 0
+        mapping = HarmonizationMapping.fit(src.data[fg], ref_cdf, quantiles=quantiles)
+        want = src.data.astype(np.float64)
+        want[fg] = mapping.apply(want[fg])
+        want = want.astype(np.float32)
+        out = match_histogram(src, ref_cdf, quantiles=quantiles)
+        assert out.data.dtype == np.float32
+        assert np.array_equal(out.data.view(np.uint32), want.view(np.uint32))
+        assert np.signbit(out.data[0, 0, :4]).all()
+
     def test_quantile_count_validated(self):
         src = ball_volume(seed=12)
         with pytest.raises(ConfigError):

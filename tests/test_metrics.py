@@ -16,6 +16,7 @@ from gliomaforge.metrics import (
     HD95_SENTINEL,
     REGIONS,
     CaseMetrics,
+    _region_masks,
     connected_components,
     dice,
     evaluate,
@@ -252,6 +253,15 @@ class TestDice:
     def test_unknown_region(self):
         with pytest.raises(KeyError):
             dice(np.zeros((4, 4, 4)), np.zeros((4, 4, 4)), "XY")
+
+
+@pytest.mark.parametrize("region", sorted(REGIONS))
+def test_uint8_region_masks_equal_isin_on_every_value(region):
+    labels = np.arange(256, dtype=np.uint8).reshape(4, 8, 8)
+    want = np.isin(labels, REGIONS[region])
+    p, g = _region_masks(labels, labels.astype(np.int64), region)
+    assert p.dtype == g.dtype == bool
+    assert np.array_equal(p, want) and np.array_equal(g, want)
 
 
 # -- hd95 ------------------------------------------------------------------

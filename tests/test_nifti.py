@@ -28,6 +28,40 @@ def byteswap_buffer(buf: bytes) -> bytes:
     return swapped_hdr + pad + payload
 
 
+def old_read_volume(buf: bytes) -> np.ndarray:
+    """Reference decode: the float32 grid as the two-copy decoder built it."""
+    header = nifti.parse_header(buf)
+    voxel_dtype = np.dtype(header.datatype).newbyteorder(header.byte_order)
+    nbytes = header.voxel_count * voxel_dtype.itemsize
+    payload = buf[header.vox_offset : header.vox_offset + nbytes]
+    raw = np.frombuffer(payload, dtype=voxel_dtype).reshape(header.dims, order="F")
+    data = raw.astype(np.float32)
+    if header.scl_slope != 1.0 or header.scl_inter != 0.0:
+        data = data * np.float32(header.scl_slope) + np.float32(header.scl_inter)
+    return np.ascontiguousarray(data)
+
+
+def old_read_mask(buf: bytes, remap_label_4: bool) -> np.ndarray:
+    """Reference mask decode: float32 grid, rint check, int64, remap, isin."""
+    data = old_read_volume(buf)
+    rounded = np.rint(data)
+    if not np.array_equal(data, rounded):
+        raise LabelError("non-integer")
+    labels = rounded.astype(np.int64)
+    if remap_label_4:
+        labels[labels == 4] = 3
+    if not np.isin(labels, nifti.VALID_LABELS).all():
+        raise LabelError("out of range")
+    return labels.astype(np.uint8)
+
+
+def scaled(buf: bytes, slope: float, inter: float) -> bytes:
+    out = bytearray(buf)
+    out[112:116] = np.float32(slope).tobytes()  # scl_slope
+    out[116:120] = np.float32(inter).tobytes()  # scl_inter
+    return bytes(out)
+
+
 class TestParseHeader:
     def test_constructed_roundtrip(self):
         vol = make_volume()
@@ -113,6 +147,23 @@ class TestReadWrite:
         swapped = nifti.read_volume(byteswap_buffer(buf))
         assert np.array_equal(swapped.data, vol.data)
 
+    @pytest.mark.parametrize("code", [2, 4, 16], ids=["uint8", "int16", "float32"])
+    @pytest.mark.parametrize("slope,inter", [(1.0, 0.0), (2.0, 1.0), (0.5, -3.25)])
+    @pytest.mark.parametrize("swap", [False, True], ids=["little", "big"])
+    def test_decode_equals_old_decoder(self, code, slope, inter, swap):
+        raw = np.random.default_rng(code).integers(0, 200, size=(5, 4, 3))
+        dtype = {2: np.uint8, 4: np.int16, 16: np.float32}[code]
+        buf = scaled(nifti._encode(raw.astype(dtype), (1.0, 2.0, 1.5), code), slope, inter)
+        if swap:
+            header = np.frombuffer(buf[: nifti.HEADER_SIZE], dtype=nifti._header_dtype("<"))
+            payload = np.frombuffer(buf[nifti.DEFAULT_VOX_OFFSET :], dtype=np.dtype(dtype))
+            buf = (header.byteswap().tobytes() + buf[nifti.HEADER_SIZE : nifti.DEFAULT_VOX_OFFSET]
+                   + payload.byteswap().tobytes())
+        vol = nifti.read_volume(buf)
+        want = old_read_volume(buf)
+        assert vol.data.dtype == np.float32 and vol.data.flags.c_contiguous
+        assert np.array_equal(vol.data.view(np.uint32), want.view(np.uint32))
+
     @pytest.mark.parametrize("seed", range(5))
     def test_roundtrip_random_shapes(self, seed):
         rng = np.random.default_rng(seed)
@@ -151,6 +202,33 @@ class TestMaskIO:
         labels[1, 1, 1] = value
         with pytest.raises(LabelError):
             nifti.read_mask(nifti._encode(labels, (1.0, 1.0, 1.0), 4))
+
+    @pytest.mark.parametrize("remap", [True, False], ids=["remap", "no-remap"])
+    @pytest.mark.parametrize(
+        "code,extra",
+        [(2, 4), (2, 5), (2, 255), (4, 4), (4, 259), (4, -1), (16, 4), (16, 259), (16, -1),
+         (16, 2.5)],
+    )
+    def test_mask_files_equal_old_decoder(self, code, extra, remap):
+        dtype = {2: np.uint8, 4: np.int16, 16: np.float32}[code]
+        labels = np.random.default_rng(1).integers(0, 4, size=(4, 5, 6)).astype(dtype)
+        labels[1, 2, 3] = extra
+        labels[0, 0, 0] = 4
+        bufs = [nifti._encode(labels, (1.0, 1.0, 2.0), code)]
+        doubled = labels.astype(np.float64) * 2
+        if np.array_equal(doubled.astype(dtype), doubled):  # stored x2, slope 1/2
+            bufs.append(scaled(nifti._encode(doubled.astype(dtype), (1.0, 1.0, 2.0), code), 0.5, 0))
+        for buf in bufs:
+            try:
+                want = old_read_mask(buf, remap)
+            except LabelError:
+                with pytest.raises(LabelError):
+                    nifti.read_mask(buf, remap_label_4=remap)
+                continue
+            got = nifti.read_mask(buf, remap_label_4=remap)
+            assert got.labels.dtype == np.uint8 and got.labels.flags.c_contiguous
+            assert np.array_equal(got.labels, want)
+            assert got.spacing == (1.0, 1.0, 2.0)
 
     def test_invalid_label_values(self):
         with pytest.raises(LabelError):
@@ -196,6 +274,25 @@ class TestLoadCase:
         nifti.save_volume(tmp_path / "v.nii.gz", vol)
         back = nifti.load_volume(tmp_path / "v.nii.gz")
         assert np.array_equal(back.data, vol.data)
+
+    def test_decode_only_keeps_one_modality(self, tmp_path):
+        self.write_case(tmp_path, with_seg=True)
+        full = nifti.load_case(tmp_path, "sub1")
+        flair = nifti.load_case(tmp_path, "sub1", decode=("flair",))
+        assert list(flair.modalities) == ["flair"]
+        assert np.array_equal(flair.modalities["flair"].data, full.modalities["flair"].data)
+        assert np.array_equal(flair.label.labels, full.label.labels)
+        assert flair.dims == full.dims and flair.spacing == full.spacing
+
+    @pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+    def test_read_header_checks_payload_length(self, tmp_path, suffix):
+        buf = nifti.write_volume(make_volume())
+        path = tmp_path / f"v{suffix}"
+        nifti._write_file(path, buf)
+        assert nifti.read_header(path).dims == (4, 4, 4)
+        nifti._write_file(path, buf[:-1])
+        with pytest.raises(TruncatedDataError):
+            nifti.read_header(path)
 
     def test_list_case_ids(self, tmp_path):
         self.write_case(tmp_path, case_id="b")
