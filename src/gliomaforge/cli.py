@@ -9,6 +9,7 @@ interrupted run never leaves a partial artifact.
 """
 
 import argparse
+import functools
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .errors import ConfigError, GliomaForgeError, PairingError
-from .harmonize import build_cdf, match_histogram, zscore_normalize
+from .harmonize import EmpiricalCDF, build_cdf, match_histogram, zscore_normalize
 from .metrics import evaluate as evaluate_dirs
 from .metrics import keep_largest_per_class, write_metrics_csv
 from .model import GliomaForgeNet
@@ -27,6 +28,7 @@ from .nifti import (
     MODALITIES,
     MultiModalCase,
     SegmentationMask,
+    iter_case_files,
     list_case_ids,
     load_case,
     save_mask,
@@ -101,27 +103,32 @@ def _map_cases(work, tasks, jobs):
 
 
 def _reference_cdfs(ref_dir):
-    pooled = {mod: [] for mod in MODALITIES}
-    for case_id in list_case_ids(ref_dir):
-        case = load_case(ref_dir, case_id)
-        for mod in MODALITIES:
-            data = case.modalities[mod].data
-            pooled[mod].append(data[data != 0])
-    return {mod: build_cdf(np.concatenate(chunks)) for mod, chunks in pooled.items()}
+    """Each modality's CDF over the foreground of every reference case. Each
+    file's foreground is sorted as it arrives, while the next one decodes."""
+    runs = {mod: [] for mod in MODALITIES}
+    for _, name, item in iter_case_files([(ref_dir, cid) for cid in list_case_ids(ref_dir)]):
+        if name in runs:
+            foreground = item.data[item.data != 0]
+            if foreground.size:  # an empty file adds nothing to the pool
+                runs[name].append(build_cdf(foreground).values)
+    # a single run is sorted already; several are pooled and sorted again
+    return {
+        mod: EmpiricalCDF(values=r[0] if len(r) == 1 else np.sort(np.concatenate([[], *r])))
+        for mod, r in runs.items()
+    }
 
 
-def _harmonize_one(task):
-    in_dir, out_dir, case_id, cdfs, quantiles, compress = task
-    case = load_case(in_dir, case_id)
+def _harmonize_cases(task):
+    """Match and write each file of a chunk of cases as it arrives."""
+    in_dir, out_dir, case_ids, cdfs, quantiles, compress = task
     ext = ".nii.gz" if compress else ".nii"
-    for mod in MODALITIES:
-        matched = match_histogram(case.modalities[mod], cdfs[mod], quantiles=quantiles)
-        with atomic_output(Path(out_dir) / f"{case_id}-{mod}{ext}") as tmp:
-            save_volume(tmp, matched)
-    if case.label is not None:
-        with atomic_output(Path(out_dir) / f"{case_id}-seg{ext}") as tmp:
-            save_mask(tmp, case.label)
-    return case_id
+    for case_id, name, item in iter_case_files([(in_dir, cid) for cid in case_ids]):
+        with atomic_output(Path(out_dir) / f"{case_id}-{name}{ext}") as tmp:
+            if name == "seg":
+                save_mask(tmp, item)
+            else:
+                save_volume(tmp, match_histogram(item, cdfs[name], quantiles=quantiles))
+    return case_ids
 
 
 def cmd_harmonize(args) -> int:
@@ -130,9 +137,13 @@ def cmd_harmonize(args) -> int:
     ids = list_case_ids(args.in_dir)
     cdfs = _reference_cdfs(args.ref_dir)
     Path(args.out).mkdir(parents=True, exist_ok=True)
-    tasks = [(args.in_dir, args.out, cid, cdfs, quantiles, args.compress) for cid in ids]
-    for case_id in _map_cases(_harmonize_one, tasks, args.jobs):
-        print(f"harmonized {case_id}")
+    # one contiguous chunk of cases per worker, so the CDFs travel once to each
+    jobs = max(1, min(args.jobs, len(ids)))
+    chunks = [ids[i * len(ids) // jobs : (i + 1) * len(ids) // jobs] for i in range(jobs)]
+    tasks = [(args.in_dir, args.out, chunk, cdfs, quantiles, args.compress) for chunk in chunks]
+    for chunk in _map_cases(_harmonize_cases, tasks, jobs):
+        for case_id in chunk:
+            print(f"harmonized {case_id}")
     return EXIT_OK
 
 
@@ -322,7 +333,8 @@ def cmd_predict(args) -> int:
 
 def cmd_evaluate(args) -> int:
     results, summary = evaluate_dirs(
-        args.pred, args.gt, postprocess=not args.no_postprocess
+        args.pred, args.gt, postprocess=not args.no_postprocess,
+        map_cases=functools.partial(_map_cases, jobs=args.jobs),
     )
     with atomic_output(args.out) as tmp:
         write_metrics_csv(tmp, results, summary)
@@ -402,7 +414,7 @@ def build_parser() -> _Parser:
     p.add_argument("--gt", required=True, help="reference mask directory")
     p.add_argument("--out", required=True, help="output metrics CSV")
     p.add_argument("--no-postprocess", action="store_true", help="skip component filtering")
-    p.add_argument("--jobs", type=int, default=1, help="accepted for symmetry; evaluation is fast")
+    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
 
     add("selftest", cmd_selftest, "run the built-in property suites")
     return parser

@@ -8,12 +8,17 @@ the canonical internal form. Voxel data is stored on disk in the standard
 NIfTI order (first axis fastest).
 
 Cases follow the naming convention ``<case_id>-{t1,t1ce,t2,flair,seg}.nii``.
+`iter_case_files` streams the files of many cases with one file of
+read-ahead on a background thread; `load_case` collects one case from the
+same reader, in the caller's thread. Errors raised while reading or
+checking a case file name the file.
 """
 
 from __future__ import annotations
 
 import gzip
 import os
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,6 +26,7 @@ import numpy as np
 
 from .errors import (
     AlignmentError,
+    GliomaForgeError,
     HeaderError,
     LabelError,
     PairingError,
@@ -34,6 +40,8 @@ MAGIC_SINGLE = b"n+1\x00"
 MAGIC_PAIR = b"ni1\x00"
 
 MODALITIES = ("t1", "t1ce", "t2", "flair")
+# The files of one case, in the order they are read; the seg is optional.
+CASE_FILES = (*MODALITIES, "seg")
 VALID_LABELS = (0, 1, 2, 3)
 
 # NIfTI datatype codes we accept.
@@ -310,7 +318,13 @@ def read_volume(buf: bytes) -> Volume:
     return Volume(header=canonical, data=data)
 
 
-def _encode(data: np.ndarray, spacing, datatype_code: int) -> bytes:
+def _encode(data: np.ndarray, spacing, datatype_code: int) -> tuple[bytes, np.ndarray]:
+    """The header, padded to the payload offset, and the payload of a file
+    holding `data`.
+
+    The payload is one C-contiguous copy of the transposed grid: its bytes
+    are `data` in NIfTI order (first axis fastest), in `data`'s dtype.
+    """
     hdr = np.zeros(1, dtype=_header_dtype("<"))[0]
     hdr["sizeof_hdr"] = HEADER_SIZE
     hdr["regular"] = b"r"
@@ -324,21 +338,29 @@ def _encode(data: np.ndarray, spacing, datatype_code: int) -> bytes:
     hdr["xyzt_units"] = 2  # millimetres
     hdr["magic"] = MAGIC_SINGLE
     pad = b"\x00" * (DEFAULT_VOX_OFFSET - HEADER_SIZE)
-    payload = np.asfortranarray(data).tobytes(order="F")
-    return hdr.tobytes() + pad + payload
+    return hdr.tobytes() + pad, np.ascontiguousarray(data.T)
+
+
+def _volume_parts(volume: Volume) -> tuple[bytes, np.ndarray]:
+    if not np.isfinite(volume.data).all():
+        raise ValueError("volume contains non-finite values; refusing to write")
+    data = volume.data.astype("<f4", copy=False)
+    return _encode(data, volume.spacing, _DTYPE_TO_CODE[np.dtype(np.float32)])
+
+
+def _mask_parts(mask: SegmentationMask) -> tuple[bytes, np.ndarray]:
+    return _encode(mask.labels.astype(np.uint8, copy=False), mask.spacing,
+                   _DTYPE_TO_CODE[np.dtype(np.uint8)])
 
 
 def write_volume(volume: Volume) -> bytes:
     """Serialize a Volume as canonical float32 NIfTI-1 (slope 1, inter 0)."""
-    if not np.isfinite(volume.data).all():
-        raise ValueError("volume contains non-finite values; refusing to write")
-    data = np.ascontiguousarray(volume.data, dtype="<f4")
-    return _encode(data, volume.spacing, _DTYPE_TO_CODE[np.dtype(np.float32)])
+    return b"".join(_volume_parts(volume))
 
 
 def write_mask(mask: SegmentationMask) -> bytes:
     """Serialize a SegmentationMask as uint8 NIfTI-1."""
-    return _encode(mask.labels.astype(np.uint8), mask.spacing, _DTYPE_TO_CODE[np.dtype(np.uint8)])
+    return b"".join(_mask_parts(mask))
 
 
 def read_mask(buf: bytes, remap_label_4: bool = True) -> SegmentationMask:
@@ -361,10 +383,16 @@ def read_mask(buf: bytes, remap_label_4: bool = True) -> SegmentationMask:
 
 def _read_bytes(path: Path) -> bytes:
     path = Path(path)
-    if path.suffix == ".gz":
+    buf = path.read_bytes()
+    if path.suffix != ".gz":
+        return buf
+    try:
         # one-shot: checks the CRC and length of every member, like GzipFile
-        return gzip.decompress(path.read_bytes())
-    return path.read_bytes()
+        return gzip.decompress(buf)
+    except EOFError as err:
+        raise TruncatedDataError(f"gzip stream truncated: {err}") from err
+    except (gzip.BadGzipFile, zlib.error) as err:
+        raise HeaderError(f"corrupt gzip stream: {err}") from err
 
 
 def read_header(path) -> VolumeHeader:
@@ -394,23 +422,30 @@ def load_volume(path) -> Volume:
 
 def save_volume(path, volume: Volume) -> None:
     """Write a volume to .nii or .nii.gz; compression follows the suffix."""
-    _write_file(Path(path), write_volume(volume))
+    _write_file(Path(path), *_volume_parts(volume))
 
 
 def save_mask(path, mask: SegmentationMask) -> None:
-    _write_file(Path(path), write_mask(mask))
+    _write_file(Path(path), *_mask_parts(mask))
 
 
 def load_mask(path, remap_label_4: bool = True) -> SegmentationMask:
     return read_mask(_read_bytes(Path(path)), remap_label_4=remap_label_4)
 
 
-def _write_file(path: Path, buf: bytes) -> None:
-    if path.suffix == ".gz":
-        # mtime 0 and no file name in the gzip header, so identical volumes
-        # produce identical bytes whatever the (temporary) file is called
-        buf = gzip.compress(buf, mtime=0)
-    path.write_bytes(buf)
+def _write_file(path: Path, *chunks) -> None:
+    """Write bytes-like chunks to `path`, as one gzip member for a .gz suffix.
+
+    The member is byte-equal to ``gzip.compress(b"".join(chunks), mtime=0)``:
+    mtime 0 and no file name in its header, so identical volumes produce
+    identical bytes whatever the (temporary) file is called.
+    """
+    stream = zlib.compressobj(9, zlib.DEFLATED, 31) if path.suffix == ".gz" else None
+    with open(path, "wb") as fh:
+        for chunk in chunks:
+            fh.write(stream.compress(chunk) if stream else chunk)
+        if stream:
+            fh.write(stream.flush())
 
 
 def _find_file(directory: Path, *stems: str) -> Path | None:
@@ -423,32 +458,99 @@ def _find_file(directory: Path, *stems: str) -> Path | None:
     return None
 
 
+def _case_paths(cases) -> list[tuple[str, str, Path]]:
+    """``(case_id, name, path)`` of every file of each ``(directory,
+    case_id)``, in `CASE_FILES` order; the seg is optional."""
+    plan = []
+    for directory, case_id in cases:
+        directory = Path(directory)
+        for name in CASE_FILES:
+            path = _find_file(directory, f"{case_id}-{name}")
+            if path is not None:
+                plan.append((case_id, name, path))
+            elif name != "seg":
+                missing = directory / f"{case_id}-{name}"
+                raise FileNotFoundError(f"missing file {missing}.nii[.gz]")
+    return plan
+
+
+def _load_file(case_id, name, path, first, decode, remap_label_4):
+    """One case file, checked against `first`, the grid of its case's first
+    file (None for that file itself). Errors name the file."""
+    try:
+        if name == "seg":
+            item = load_mask(path, remap_label_4=remap_label_4)
+            _check_aligned(case_id, {MODALITIES[0]: first}, item)
+        else:
+            item = load_volume(path) if name in decode else read_header(path)
+            if first is not None:
+                _check_aligned(case_id, {MODALITIES[0]: first, name: item}, None)
+        return item
+    except GliomaForgeError as err:
+        raise type(err)(f"{path}: {err}") from err
+
+
+def _case_items(cases, decode, remap_label_4):
+    """The files of `iter_case_files`, read one by one as they are asked for."""
+    for case_id, name, path in _case_paths(cases):
+        starts_case = name == MODALITIES[0]
+        item = _load_file(
+            case_id, name, path, None if starts_case else first, decode, remap_label_4
+        )
+        if starts_case:  # the grid its case's later files must match
+            first = getattr(item, "header", item)
+        yield case_id, name, item
+
+
+def iter_case_files(cases, remap_label_4: bool = True, decode: tuple[str, ...] = MODALITIES):
+    """Yield ``(case_id, name, item)`` for every file of each ``(directory,
+    case_id)`` in `cases`, in `CASE_FILES` order.
+
+    `item` is a SegmentationMask for the seg, a Volume for a modality in
+    `decode` and the checked VolumeHeader (`read_header`) for any other.
+    Each file is checked against the first of its case (dims and spacing;
+    the seg's dims) before it is yielded. Every file is found before the
+    first is read, so a missing modality fails before any work is done.
+
+    While the caller works on one file, one background thread reads the
+    next, so at most two decoded files are alive at once; the read-ahead
+    crosses case boundaries.
+    """
+    from concurrent.futures import ThreadPoolExecutor  # imports logging: only when used
+
+    items = _case_items(cases, decode, remap_label_4)
+    pool = ThreadPoolExecutor(max_workers=1)
+    try:
+        pending = pool.submit(next, items, None)
+        while (item := pending.result()) is not None:
+            pending = pool.submit(next, items, None)
+            yield item
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def load_case(
     directory, case_id: str, remap_label_4: bool = True, decode: tuple[str, ...] = MODALITIES
 ) -> MultiModalCase:
-    """Assemble a MultiModalCase from ``<case_id>-<mod>.nii[.gz]`` files.
+    """Assemble a MultiModalCase from ``<case_id>-<name>.nii[.gz]`` files.
 
     All four modalities must be present, whole and aligned; ``<case_id>-seg``
     is optional. Only the modalities in `decode` are decoded and kept in the
     case; the others pass the same checks from their headers (`read_header`).
     Raises FileNotFoundError for a missing modality, AlignmentError for
     dim/spacing mismatches and LabelError for out-of-range labels.
+
+    Unlike `iter_case_files`, it reads in the caller's thread: one case
+    leaves no work to overlap a read with, and memory that a reader
+    thread's malloc arena keeps is not reused by this one (it cost
+    `predict` 25 MiB of peak RSS on a 128x128x96 case).
     """
-    directory = Path(directory)
-    modalities, grids = {}, {}
-    for mod in MODALITIES:
-        path = _find_file(directory, f"{case_id}-{mod}")
-        if path is None:
-            raise FileNotFoundError(f"missing file {directory / (case_id + '-' + mod)}.nii[.gz]")
-        if mod in decode:
-            grids[mod] = modalities[mod] = load_volume(path)
-        else:
-            grids[mod] = read_header(path)
-    label = None
-    seg_path = _find_file(directory, f"{case_id}-seg")
-    if seg_path is not None:
-        label = load_mask(seg_path, remap_label_4=remap_label_4)
-    _check_aligned(case_id, grids, label)
+    modalities, label = {}, None
+    for _, name, item in _case_items([(directory, case_id)], decode, remap_label_4):
+        if name == "seg":
+            label = item
+        elif name in decode:
+            modalities[name] = item
     return MultiModalCase(case_id=case_id, modalities=modalities, label=label)
 
 

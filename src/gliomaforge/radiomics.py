@@ -120,9 +120,10 @@ def first_order_features(
 
     if variance > 0:
         centered = x - mean
+        squared = centered * centered  # products; np.power calls libm pow per voxel
         sigma = np.sqrt(variance)
-        skewness = float(np.mean(centered**3) / sigma**3)
-        kurtosis = float(np.mean(centered**4) / sigma**4)
+        skewness = float(np.mean(squared * centered) / sigma**3)
+        kurtosis = float(np.mean(squared * squared) / sigma**4)
     else:
         skewness = 0.0
         kurtosis = 0.0

@@ -5,6 +5,8 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from gliomaforge.config import (
     train_config_from,
 )
 from gliomaforge.errors import ConfigError
+from gliomaforge.harmonize import build_cdf, match_histogram
 from gliomaforge.metrics import read_metrics_csv
 from gliomaforge.model import ModelConfig
 from gliomaforge.nifti import list_case_ids, load_mask, load_volume, save_case, save_volume
@@ -367,6 +370,128 @@ class TestHarmonizeCommand:
         assert a == b
 
 
+def _old_harmonize(ref_dir, in_dir, out_dir, compress, quantiles=256):
+    """The per-case harmonize loop as it was before streaming: whole cases
+    loaded, reference foregrounds pooled unsorted, one CDF per modality."""
+    pooled = {mod: [] for mod in nifti.MODALITIES}
+    for case_id in list_case_ids(ref_dir):
+        case = nifti.load_case(ref_dir, case_id)
+        for mod in nifti.MODALITIES:
+            data = case.modalities[mod].data
+            pooled[mod].append(data[data != 0])
+    cdfs = {mod: build_cdf(np.concatenate(chunks)) for mod, chunks in pooled.items()}
+    ext = ".nii.gz" if compress else ".nii"
+    for case_id in list_case_ids(in_dir):
+        case = nifti.load_case(in_dir, case_id)
+        for mod in nifti.MODALITIES:
+            matched = match_histogram(case.modalities[mod], cdfs[mod], quantiles=quantiles)
+            save_volume(out_dir / f"{case_id}-{mod}{ext}", matched)
+        if case.label is not None:
+            nifti.save_mask(out_dir / f"{case_id}-seg{ext}", case.label)
+
+
+@pytest.fixture(scope="module")
+def small_cohort(tmp_path_factory):
+    """Three 16^3 cases and two reference cases, as .nii and as .nii.gz."""
+    root = tmp_path_factory.mktemp("small-cohort")
+    for suffix, compress in ((".nii", False), (".nii.gz", True)):
+        for case in make_dataset(3, shape=(16, 16, 16), seed=60):
+            save_case(root / suffix / "in", case, compress=compress)
+        for case in make_dataset(2, shape=(16, 16, 16), seed=80, prefix="ref"):
+            save_case(root / suffix / "ref", case, compress=compress)
+    return root
+
+
+class TestHarmonizeStreaming:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("compress", [False, True], ids=["nii-out", "gz-out"])
+    @pytest.mark.parametrize("suffix", [".nii", ".nii.gz"], ids=["nii-in", "gz-in"])
+    @pytest.mark.parametrize("refs", [1, 2], ids=["one-ref", "two-refs"])
+    def test_outputs_equal_old_per_case_loop(
+        self, small_cohort, tmp_path, refs, suffix, compress, jobs
+    ):
+        src = small_cohort / suffix
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        for path in (src / "ref").iterdir():
+            if refs == 2 or path.name.startswith("ref-000-"):
+                shutil.copy(path, ref / path.name)
+        want, got = tmp_path / "want", tmp_path / "got"
+        want.mkdir()
+        _old_harmonize(ref, src / "in", want, compress)
+        argv = ["harmonize", "--ref-dir", str(ref), "--in", str(src / "in"), "--out", str(got),
+                "--jobs", str(jobs)]
+        assert main(argv + (["--compress"] if compress else [])) == EXIT_OK
+        names = sorted(p.name for p in want.iterdir())
+        assert len(names) == 3 * 5
+        assert sorted(p.name for p in got.iterdir()) == names
+        for name in names:
+            assert (got / name).read_bytes() == (want / name).read_bytes(), name
+
+    def test_empty_reference_file_adds_nothing_to_the_pool(self, small_cohort, tmp_path):
+        ref = tmp_path / "ref"
+        shutil.copytree(small_cohort / ".nii" / "ref", ref)
+        save_volume(ref / "ref-001-flair.nii", nifti.Volume.from_array(np.zeros((16, 16, 16))))
+        want, got = tmp_path / "want", tmp_path / "got"
+        want.mkdir()
+        _old_harmonize(ref, small_cohort / ".nii" / "in", want, compress=False)
+        argv = ["harmonize", "--ref-dir", str(ref), "--in", str(small_cohort / ".nii" / "in"),
+                "--out", str(got)]
+        assert main(argv) == EXIT_OK
+        for path in want.iterdir():
+            assert (got / path.name).read_bytes() == path.read_bytes(), path.name
+
+    def test_at_most_two_decoded_volumes_alive(self, small_cohort, tmp_path, monkeypatch):
+        src = small_cohort / ".nii"
+        alive, most = [], [0]
+        load_volume = nifti.load_volume
+
+        def counting_load_volume(path):
+            volume = load_volume(path)
+            alive.append(weakref.ref(volume))
+            most[0] = max(most[0], sum(ref() is not None for ref in alive))
+            return volume
+
+        monkeypatch.setattr(nifti, "load_volume", counting_load_volume)
+        argv = ["harmonize", "--ref-dir", str(src / "ref"), "--in", str(src / "in"),
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_OK
+        assert len(alive) == 2 * 4 + 3 * 4
+        assert most[0] <= 2
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [("truncated", "payload truncated"), ("truncated-gz", "gzip stream truncated"),
+         ("misaligned", "case synth-001: modality dims differ"),
+         ("empty", "no nonzero voxels")],
+    )
+    def test_bad_later_file_in_second_case(self, small_cohort, tmp_path, capsys, fault, message):
+        suffix = ".nii.gz" if fault == "truncated-gz" else ".nii"
+        raw = tmp_path / "in"
+        shutil.copytree(small_cohort / suffix / "in", raw)
+        flair = raw / f"synth-001-flair{suffix}"
+        if fault.startswith("truncated"):
+            flair.write_bytes(flair.read_bytes()[:-7])
+        elif fault == "misaligned":
+            save_volume(flair, make_case("x", shape=(16, 16, 17), seed=1).modalities["flair"])
+        else:
+            save_volume(flair, nifti.Volume.from_array(np.zeros((16, 16, 16))))
+        out = tmp_path / "out"
+        baseline = threading.active_count()
+        argv = ["harmonize", "--ref-dir", str(small_cohort / suffix / "ref"), "--in", str(raw),
+                "--out", str(out)]
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert message in err
+        if fault != "empty":  # matching, not decoding, fails on an empty volume
+            assert str(flair) in err
+        assert threading.active_count() == baseline
+        assert not [p.name for p in out.iterdir() if p.name.startswith(".tmp")]
+        # the first case streamed out whole before the fault was read
+        assert len(list(out.glob("synth-000-*"))) == 5
+        assert not list(out.glob("synth-002-*"))
+
+
 class TestFeaturesCommand:
     def test_csv_shape(self, workspace):
         text = (workspace["root"] / "features.csv").read_text().strip().splitlines()
@@ -380,8 +505,8 @@ class TestFeaturesCommand:
          ("truncated-t2", "payload truncated"), ("seg-label-5", "labels outside {0,1,2,3}")],
     )
     def test_unchosen_file_faults_are_data_errors(self, tmp_path, capsys, fault, named):
-        # features decodes only FLAIR; the other files are still checked.
-        # Truncation and label errors name neither the file nor the case.
+        # features decodes only FLAIR; the other files are still checked,
+        # and every error names the file at fault
         case = make_case("bad", shape=(8, 8, 8), seed=2)
         save_case(tmp_path, case)
         t2 = tmp_path / "bad-t2.nii"
@@ -397,10 +522,12 @@ class TestFeaturesCommand:
         else:
             labels = case.label.labels.copy()
             labels[0, 0, 0] = 5
-            (tmp_path / "bad-seg.nii").write_bytes(nifti._encode(labels, case.spacing, 2))
+            (tmp_path / "bad-seg.nii").write_bytes(b"".join(nifti._encode(labels, case.spacing, 2)))
         rc = main(["features", "--in", str(tmp_path), "--out", str(tmp_path / "f.csv")])
         assert rc == EXIT_DATA
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert named in err
+        assert str(tmp_path / ("bad-seg.nii" if fault == "seg-label-5" else "bad-t2.nii")) in err
         assert not (tmp_path / "f.csv").exists()
 
     def test_unknown_config_modality_is_data_error(self, workspace, tmp_path, capsys):
@@ -575,6 +702,25 @@ class TestEvaluateCommand:
         per_case = [r for r in rows if r["case_id"] not in ("mean", "std")]
         assert len(per_case) == 4 * 3
         assert all(r["dice"] == 1.0 and r["hd95"] == 0.0 for r in per_case)
+
+    def test_parallel_jobs_write_the_same_csv(self, workspace, tmp_path):
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        for i, case_id in enumerate(list_case_ids(workspace["raw"])):
+            gt = load_mask(workspace["raw"] / f"{case_id}-seg.nii")
+            # shifted and partly erased, so every metric is off its trivial value
+            labels = np.roll(gt.labels, i + 1, axis=i % 3)
+            labels[: 4 * i] = 0
+            nifti.save_mask(pred / f"{case_id}.nii", nifti.SegmentationMask(labels, gt.spacing))
+        outs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"metrics-{jobs}.csv"
+            assert main(["evaluate", "--pred", str(pred), "--gt", str(workspace["raw"]),
+                         "--out", str(out), "--jobs", jobs]) == EXIT_OK
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        rows = read_metrics_csv(tmp_path / "metrics-1.csv")
+        assert len({r["dice"] for r in rows if r["case_id"] not in ("mean", "std")}) > 3
 
     def test_missing_predictions_is_data_error(self, workspace, tmp_path):
         (tmp_path / "pred").mkdir()

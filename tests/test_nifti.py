@@ -1,5 +1,7 @@
 """NIfTI subset: header parsing, round-trips, endianness, case assembly."""
 
+import gzip
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,11 @@ def old_read_mask(buf: bytes, remap_label_4: bool) -> np.ndarray:
     if not np.isin(labels, nifti.VALID_LABELS).all():
         raise LabelError("out of range")
     return labels.astype(np.uint8)
+
+
+def encode(data: np.ndarray, spacing, code: int) -> bytes:
+    """A whole file holding `data` as datatype `code`, unvalidated."""
+    return b"".join(nifti._encode(data, spacing, code))
 
 
 def scaled(buf: bytes, slope: float, inter: float) -> bytes:
@@ -110,7 +117,7 @@ class TestReadWrite:
     def test_uint8_slope_inter(self):
         # scalar affine oracle: raw*2 + 1 on [0..63]
         raw = np.arange(64, dtype=np.uint8).reshape(4, 4, 4)
-        buf = bytearray(nifti._encode(raw, (1.0, 1.0, 1.0), 2))
+        buf = bytearray(encode(raw, (1.0, 1.0, 1.0), 2))
         buf[112:116] = np.float32(2.0).tobytes()  # scl_slope
         buf[116:120] = np.float32(1.0).tobytes()  # scl_inter
         vol = nifti.read_volume(bytes(buf))
@@ -153,7 +160,7 @@ class TestReadWrite:
     def test_decode_equals_old_decoder(self, code, slope, inter, swap):
         raw = np.random.default_rng(code).integers(0, 200, size=(5, 4, 3))
         dtype = {2: np.uint8, 4: np.int16, 16: np.float32}[code]
-        buf = scaled(nifti._encode(raw.astype(dtype), (1.0, 2.0, 1.5), code), slope, inter)
+        buf = scaled(encode(raw.astype(dtype), (1.0, 2.0, 1.5), code), slope, inter)
         if swap:
             header = np.frombuffer(buf[: nifti.HEADER_SIZE], dtype=nifti._header_dtype("<"))
             payload = np.frombuffer(buf[nifti.DEFAULT_VOX_OFFSET :], dtype=np.dtype(dtype))
@@ -163,6 +170,22 @@ class TestReadWrite:
         want = old_read_volume(buf)
         assert vol.data.dtype == np.float32 and vol.data.flags.c_contiguous
         assert np.array_equal(vol.data.view(np.uint32), want.view(np.uint32))
+
+    @pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+    def test_saved_files_equal_written_bytes(self, tmp_path, suffix):
+        # one transposed copy gives the same payload as the Fortran-order
+        # serialisation, and the streamed gzip member that of gzip.compress
+        vol = make_volume(shape=(7, 5, 3), spacing=(1.0, 1.5, 2.0), seed=4)
+        labels = np.random.default_rng(4).integers(0, 4, size=(7, 5, 3))
+        mask = nifti.SegmentationMask(labels=labels, spacing=(1.0, 1.5, 2.0))
+        for data, write, save in ((vol.data, nifti.write_volume, nifti.save_volume),
+                                  (mask.labels, nifti.write_mask, nifti.save_mask)):
+            obj = vol if save is nifti.save_volume else mask
+            buf = write(obj)
+            assert buf[nifti.DEFAULT_VOX_OFFSET :] == np.asfortranarray(data).tobytes(order="F")
+            save(tmp_path / f"x{suffix}", obj)
+            want = gzip.compress(buf, mtime=0) if suffix == ".nii.gz" else buf
+            assert (tmp_path / f"x{suffix}").read_bytes() == want
 
     @pytest.mark.parametrize("seed", range(5))
     def test_roundtrip_random_shapes(self, seed):
@@ -201,7 +224,7 @@ class TestMaskIO:
         labels = np.zeros((3, 3, 3), dtype=np.int16)
         labels[1, 1, 1] = value
         with pytest.raises(LabelError):
-            nifti.read_mask(nifti._encode(labels, (1.0, 1.0, 1.0), 4))
+            nifti.read_mask(encode(labels, (1.0, 1.0, 1.0), 4))
 
     @pytest.mark.parametrize("remap", [True, False], ids=["remap", "no-remap"])
     @pytest.mark.parametrize(
@@ -214,10 +237,10 @@ class TestMaskIO:
         labels = np.random.default_rng(1).integers(0, 4, size=(4, 5, 6)).astype(dtype)
         labels[1, 2, 3] = extra
         labels[0, 0, 0] = 4
-        bufs = [nifti._encode(labels, (1.0, 1.0, 2.0), code)]
+        bufs = [encode(labels, (1.0, 1.0, 2.0), code)]
         doubled = labels.astype(np.float64) * 2
         if np.array_equal(doubled.astype(dtype), doubled):  # stored x2, slope 1/2
-            bufs.append(scaled(nifti._encode(doubled.astype(dtype), (1.0, 1.0, 2.0), code), 0.5, 0))
+            bufs.append(scaled(encode(doubled.astype(dtype), (1.0, 1.0, 2.0), code), 0.5, 0))
         for buf in bufs:
             try:
                 want = old_read_mask(buf, remap)
@@ -293,6 +316,36 @@ class TestLoadCase:
         nifti._write_file(path, buf[:-1])
         with pytest.raises(TruncatedDataError):
             nifti.read_header(path)
+
+    def test_iter_case_files_streams_in_load_case_order(self, tmp_path):
+        self.write_case(tmp_path, case_id="a", with_seg=True)
+        self.write_case(tmp_path, case_id="b")
+        items = list(nifti.iter_case_files([(tmp_path, "a"), (tmp_path, "b")], decode=("t2",)))
+        assert [(c, n) for c, n, _ in items] == (
+            [("a", n) for n in nifti.CASE_FILES] + [("b", n) for n in nifti.MODALITIES]
+        )
+        kinds = {n: type(item) for c, n, item in items if c == "a"}
+        assert kinds == {"t1": nifti.VolumeHeader, "t1ce": nifti.VolumeHeader,
+                         "t2": nifti.Volume, "flair": nifti.VolumeHeader,
+                         "seg": nifti.SegmentationMask}
+        case = nifti.load_case(tmp_path, "a")
+        assert np.array_equal(items[2][2].data, case.modalities["t2"].data)
+        assert np.array_equal(items[4][2].labels, case.label.labels)
+
+    @pytest.mark.parametrize("name", ["t1ce", "flair", "seg"])
+    def test_iter_case_files_checks_each_file_against_the_first(self, tmp_path, name):
+        self.write_case(tmp_path, case_id="a", with_seg=True)
+        self.write_case(tmp_path, case_id="b", dims=(5, 4, 4), with_seg=True)
+        (tmp_path / f"b-{name}.nii").write_bytes((tmp_path / f"a-{name}.nii").read_bytes())
+        stream = nifti.iter_case_files([(tmp_path, "a"), (tmp_path, "b")])
+        seen = []
+        with pytest.raises(AlignmentError, match=f"b-{name}.nii: case b: "):
+            for case_id, file_name, _ in stream:
+                seen.append((case_id, file_name))
+        first_bad = nifti.CASE_FILES.index(name)
+        assert seen == [("a", n) for n in nifti.CASE_FILES] + [
+            ("b", n) for n in nifti.CASE_FILES[:first_bad]
+        ]
 
     def test_list_case_ids(self, tmp_path):
         self.write_case(tmp_path, case_id="b")

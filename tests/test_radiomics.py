@@ -159,6 +159,18 @@ class TestFirstOrderFeatures:
         np.testing.assert_allclose(a.values(), b.values(), rtol=1e-12)
 
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_moments_equal_power_formula(self, seed):
+        # products replace np.power for the third and fourth moments
+        rng = np.random.default_rng(seed)
+        x = rng.gamma(2.0, 300.0, size=20_000).astype(np.float32)
+        fv = first_order_features(vol_from(x))
+        c = x.astype(np.float64) - x.astype(np.float64).mean()
+        sigma = np.sqrt(np.mean(c**2))
+        assert fv.skewness == pytest.approx(np.mean(c**3) / sigma**3, rel=1e-12, abs=0)
+        assert fv.kurtosis == pytest.approx(np.mean(c**4) / sigma**4, rel=1e-12, abs=0)
+
+
 class TestCaseFeatures:
     def make_case(self):
         rng = np.random.default_rng(5)
