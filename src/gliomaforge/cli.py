@@ -5,22 +5,22 @@ Exit codes: 0 success, 1 usage error (or selftest failure), 2 data error.
 Every stochastic subcommand takes --seed; without it the config file's
 `seed`, then the GLIOMAFORGE_SEED environment variable, then 42 apply.
 All file outputs are written to a temp name and renamed into place, so an
-interrupted run never leaves a partial artifact.
+interrupted run never leaves a partial artifact; `harmonize` renames the
+files of a case into place together, once all of them have been read.
 """
 
 import argparse
-import functools
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from . import config as cfgmod
 from .errors import ConfigError, GliomaForgeError, PairingError
-from .harmonize import EmpiricalCDF, build_cdf, match_histogram, zscore_normalize
+from .harmonize import build_cdf, match_histogram, zscore_normalize
 from .metrics import evaluate as evaluate_dirs
 from .metrics import keep_largest_per_class, write_metrics_csv
 from .model import GliomaForgeNet
@@ -31,6 +31,7 @@ from .nifti import (
     iter_case_files,
     list_case_ids,
     load_case,
+    read_ahead,
     save_mask,
     save_volume,
 )
@@ -65,21 +66,37 @@ class _Parser(argparse.ArgumentParser):
 
 
 @contextmanager
-def atomic_output(path):
-    """Yield a temp path that replaces `path` only on success.
+def atomic_outputs():
+    """Yield `stage(path)`, which returns a temp path for `path`. Every
+    staged temp replaces its path only when the block succeeds; on failure
+    none does, and all are removed.
 
     The temp name keeps the final suffixes so suffix-driven behavior
     (e.g. .nii.gz compression) is unchanged.
     """
-    path = Path(path)
-    if path.parent and not path.parent.exists():
-        path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".tmp{os.getpid()}.{path.name}")
+    staged = []
+
+    def stage(path):
+        path = Path(path)
+        if path.parent and not path.parent.exists():
+            path.parent.mkdir(parents=True, exist_ok=True)
+        staged.append((path.with_name(f".tmp{os.getpid()}.{path.name}"), path))
+        return staged[-1][0]
+
     try:
-        yield tmp
-        os.replace(tmp, path)
+        yield stage
+        for tmp, path in staged:
+            os.replace(tmp, path)
     finally:
-        tmp.unlink(missing_ok=True)
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
+
+
+@contextmanager
+def atomic_output(path):
+    """Yield a temp path that replaces `path` only on success."""
+    with atomic_outputs() as stage:
+        yield stage(path)
 
 
 def _load_config(args) -> dict[str, str]:
@@ -102,28 +119,34 @@ def _map_cases(work, tasks, jobs):
 # -- harmonize -------------------------------------------------------------
 
 
-def _reference_cdfs(ref_dir):
-    """Each modality's CDF over the foreground of every reference case. Each
-    file's foreground is sorted as it arrives, while the next one decodes."""
-    runs = {mod: [] for mod in MODALITIES}
-    for _, name, item in iter_case_files([(ref_dir, cid) for cid in list_case_ids(ref_dir)]):
-        if name in runs:
-            foreground = item.data[item.data != 0]
-            if foreground.size:  # an empty file adds nothing to the pool
-                runs[name].append(build_cdf(foreground).values)
-    # a single run is sorted already; several are pooled and sorted again
-    return {
-        mod: EmpiricalCDF(values=r[0] if len(r) == 1 else np.sort(np.concatenate([[], *r])))
-        for mod, r in runs.items()
-    }
+def _reference_cdfs(files):
+    """Each modality's CDF over the pooled foreground of every reference file
+    in `files`, an `iter_case_files` stream."""
+    pooled = {mod: [] for mod in MODALITIES}
+    for _, name, item in files:
+        if name in pooled:
+            pooled[name].append(item.data[item.data != 0])
+    return {mod: build_cdf(np.concatenate(chunks)) for mod, chunks in pooled.items()}
+
+
+def _case_files(directory, case_ids=None):
+    """The `iter_case_files` stream of `case_ids`, or of every case, in `directory`."""
+    return iter_case_files([(directory, cid) for cid in case_ids or list_case_ids(directory)])
 
 
 def _harmonize_cases(task):
-    """Match and write each file of a chunk of cases as it arrives."""
+    """Match and write each file of a list of cases as it arrives, while the
+    next one is read. A case's files are renamed into place when the next
+    case starts or the stream ends, so a file that fails to read or match
+    leaves none of its case behind."""
     in_dir, out_dir, case_ids, cdfs, quantiles, compress = task
     ext = ".nii.gz" if compress else ".nii"
-    for case_id, name, item in iter_case_files([(in_dir, cid) for cid in case_ids]):
-        with atomic_output(Path(out_dir) / f"{case_id}-{name}{ext}") as tmp:
+    with ExitStack() as case:
+        for case_id, name, item in read_ahead(_case_files(in_dir, case_ids)):
+            if name == MODALITIES[0]:  # the case before is whole
+                case.close()
+                stage = case.enter_context(atomic_outputs())
+            tmp = stage(Path(out_dir) / f"{case_id}-{name}{ext}")
             if name == "seg":
                 save_mask(tmp, item)
             else:
@@ -135,13 +158,13 @@ def cmd_harmonize(args) -> int:
     config = _load_config(args)
     quantiles = cfgmod.option(args.quantiles, config, "quantiles", DEFAULT_QUANTILES)
     ids = list_case_ids(args.in_dir)
-    cdfs = _reference_cdfs(args.ref_dir)
+    cdfs = _reference_cdfs(read_ahead(_case_files(args.ref_dir)))
     Path(args.out).mkdir(parents=True, exist_ok=True)
-    # one contiguous chunk of cases per worker, so the CDFs travel once to each
-    jobs = max(1, min(args.jobs, len(ids)))
-    chunks = [ids[i * len(ids) // jobs : (i + 1) * len(ids) // jobs] for i in range(jobs)]
-    tasks = [(args.in_dir, args.out, chunk, cdfs, quantiles, args.compress) for chunk in chunks]
-    for chunk in _map_cases(_harmonize_cases, tasks, jobs):
+    # one stream over every case, so read-ahead crosses case boundaries;
+    # with --jobs N, one task per case, scheduled as workers come free
+    groups = [[cid] for cid in ids] if args.jobs > 1 else [ids]
+    tasks = [(args.in_dir, args.out, group, cdfs, quantiles, args.compress) for group in groups]
+    for chunk in _map_cases(_harmonize_cases, tasks, args.jobs):
         for case_id in chunk:
             print(f"harmonized {case_id}")
     return EXIT_OK
@@ -318,7 +341,8 @@ def cmd_predict(args) -> int:
             f"{args.in_dir} holds {len(ids)} cases; pick one with --case-id"
         )
     case = load_case(args.in_dir, ids[0])
-    cdfs = _reference_cdfs(args.ref_dir) if args.ref_dir else None
+    # no read_ahead: a reader thread raised predict's peak RSS
+    cdfs = _reference_cdfs(_case_files(args.ref_dir)) if args.ref_dir else None
     mask = predict_case(
         model, case, ref_cdfs=cdfs, quantiles=quantiles, postprocess=not args.no_postprocess
     )
@@ -333,8 +357,7 @@ def cmd_predict(args) -> int:
 
 def cmd_evaluate(args) -> int:
     results, summary = evaluate_dirs(
-        args.pred, args.gt, postprocess=not args.no_postprocess,
-        map_cases=functools.partial(_map_cases, jobs=args.jobs),
+        args.pred, args.gt, postprocess=not args.no_postprocess
     )
     with atomic_output(args.out) as tmp:
         write_metrics_csv(tmp, results, summary)
@@ -414,7 +437,7 @@ def build_parser() -> _Parser:
     p.add_argument("--gt", required=True, help="reference mask directory")
     p.add_argument("--out", required=True, help="output metrics CSV")
     p.add_argument("--no-postprocess", action="store_true", help="skip component filtering")
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p.add_argument("--jobs", type=int, default=1, help="accepted for symmetry; evaluation is fast")
 
     add("selftest", cmd_selftest, "run the built-in property suites")
     return parser

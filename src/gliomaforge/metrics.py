@@ -239,30 +239,20 @@ def summarize(results: list[CaseMetrics]) -> dict[str, dict[str, tuple[float, fl
     return summary
 
 
-def _evaluate_files(task) -> CaseMetrics:
-    case_id, pred_path, gt_path, postprocess = task
-    pred, gt = load_mask(pred_path), load_mask(gt_path)
-    return evaluate_case(pred, gt, case_id=case_id, postprocess=postprocess)
-
-
-def evaluate(
-    pred_dir, gt_dir, postprocess: bool = True, map_cases=map
-) -> tuple[list[CaseMetrics], dict]:
+def evaluate(pred_dir, gt_dir, postprocess: bool = True) -> tuple[list[CaseMetrics], dict]:
     """Evaluate every reference case against its matched prediction file.
 
-    Either directory may hold ``<id>-seg`` or bare ``<id>`` masks. Every
-    case is paired before any is scored. `map_cases(work, tasks)` scores
-    the cases, in order; the default scores them one by one in process.
+    Either directory may hold ``<id>-seg`` or bare ``<id>`` masks.
     """
     pred_dir, gt_dir = Path(pred_dir), Path(gt_dir)
-    tasks = []
+    results = []
     for case_id in list_mask_ids(gt_dir):
         pred_path = _find_file(pred_dir, case_id, f"{case_id}-seg")
         if pred_path is None:
             raise PairingError(f"no prediction found for case {case_id!r} in {pred_dir}")
-        gt_path = _find_file(gt_dir, case_id, f"{case_id}-seg")
-        tasks.append((case_id, pred_path, gt_path, postprocess))
-    results = list(map_cases(_evaluate_files, tasks))
+        pred = load_mask(pred_path)
+        gt = load_mask(_find_file(gt_dir, case_id, f"{case_id}-seg"))
+        results.append(evaluate_case(pred, gt, case_id=case_id, postprocess=postprocess))
     return results, summarize(results)
 
 

@@ -8,10 +8,10 @@ the canonical internal form. Voxel data is stored on disk in the standard
 NIfTI order (first axis fastest).
 
 Cases follow the naming convention ``<case_id>-{t1,t1ce,t2,flair,seg}.nii``.
-`iter_case_files` streams the files of many cases with one file of
-read-ahead on a background thread; `load_case` collects one case from the
-same reader, in the caller's thread. Errors raised while reading or
-checking a case file name the file.
+`iter_case_files` streams the files of many cases one at a time and
+`load_case` collects one case from the same reader; `read_ahead` runs such
+a stream one item ahead on a background thread. Errors raised while
+reading or checking a case file name the file.
 """
 
 from __future__ import annotations
@@ -502,23 +502,31 @@ def _case_items(cases, decode, remap_label_4):
         yield case_id, name, item
 
 
-def iter_case_files(cases, remap_label_4: bool = True, decode: tuple[str, ...] = MODALITIES):
+def iter_case_files(cases):
     """Yield ``(case_id, name, item)`` for every file of each ``(directory,
-    case_id)`` in `cases`, in `CASE_FILES` order.
+    case_id)`` in `cases`, in `CASE_FILES` order, as `load_case` reads them.
 
-    `item` is a SegmentationMask for the seg, a Volume for a modality in
-    `decode` and the checked VolumeHeader (`read_header`) for any other.
-    Each file is checked against the first of its case (dims and spacing;
-    the seg's dims) before it is yielded. Every file is found before the
-    first is read, so a missing modality fails before any work is done.
+    `item` is a SegmentationMask for the seg (label 4 read as 3) and a
+    Volume for each modality. Each file is checked against the first of its
+    case (dims and spacing; the seg's dims) before it is yielded. Every
+    file is found before the first is read, so a missing modality fails
+    before any work is done. Files are read as they are asked for, so one
+    decoded file is alive at a time.
+    """
+    return _case_items(cases, MODALITIES, True)
 
-    While the caller works on one file, one background thread reads the
-    next, so at most two decoded files are alive at once; the read-ahead
-    crosses case boundaries.
+
+def read_ahead(items):
+    """Yield from the iterator `items`, taking its next item on one
+    background thread while the caller works on the current one.
+
+    With `iter_case_files`, at most two decoded files are alive at once.
+    Memory freed in the reader thread's malloc arena is not reused by the
+    caller's thread: reading `predict`'s reference case this way raised its
+    peak RSS by 13 MiB, so only a long stream pays for the thread.
     """
     from concurrent.futures import ThreadPoolExecutor  # imports logging: only when used
 
-    items = _case_items(cases, decode, remap_label_4)
     pool = ThreadPoolExecutor(max_workers=1)
     try:
         pending = pool.submit(next, items, None)
@@ -540,10 +548,9 @@ def load_case(
     Raises FileNotFoundError for a missing modality, AlignmentError for
     dim/spacing mismatches and LabelError for out-of-range labels.
 
-    Unlike `iter_case_files`, it reads in the caller's thread: one case
-    leaves no work to overlap a read with, and memory that a reader
-    thread's malloc arena keeps is not reused by this one (it cost
-    `predict` 25 MiB of peak RSS on a 128x128x96 case).
+    It reads in the caller's thread: one case leaves no work to overlap a
+    read with, and a reader thread cost `predict` 25 MiB of peak RSS on a
+    128x128x96 case (see `read_ahead`).
     """
     modalities, label = {}, None
     for _, name, item in _case_items([(directory, case_id)], decode, remap_label_4):

@@ -487,8 +487,10 @@ class TestHarmonizeStreaming:
             assert str(flair) in err
         assert threading.active_count() == baseline
         assert not [p.name for p in out.iterdir() if p.name.startswith(".tmp")]
-        # the first case streamed out whole before the fault was read
+        # the first case streamed out whole before the fault was read; the
+        # files of the faulting case already matched are not renamed into place
         assert len(list(out.glob("synth-000-*"))) == 5
+        assert not list(out.glob("synth-001-*"))
         assert not list(out.glob("synth-002-*"))
 
 
@@ -702,25 +704,6 @@ class TestEvaluateCommand:
         per_case = [r for r in rows if r["case_id"] not in ("mean", "std")]
         assert len(per_case) == 4 * 3
         assert all(r["dice"] == 1.0 and r["hd95"] == 0.0 for r in per_case)
-
-    def test_parallel_jobs_write_the_same_csv(self, workspace, tmp_path):
-        pred = tmp_path / "pred"
-        pred.mkdir()
-        for i, case_id in enumerate(list_case_ids(workspace["raw"])):
-            gt = load_mask(workspace["raw"] / f"{case_id}-seg.nii")
-            # shifted and partly erased, so every metric is off its trivial value
-            labels = np.roll(gt.labels, i + 1, axis=i % 3)
-            labels[: 4 * i] = 0
-            nifti.save_mask(pred / f"{case_id}.nii", nifti.SegmentationMask(labels, gt.spacing))
-        outs = []
-        for jobs in ("1", "2"):
-            out = tmp_path / f"metrics-{jobs}.csv"
-            assert main(["evaluate", "--pred", str(pred), "--gt", str(workspace["raw"]),
-                         "--out", str(out), "--jobs", jobs]) == EXIT_OK
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
-        rows = read_metrics_csv(tmp_path / "metrics-1.csv")
-        assert len({r["dice"] for r in rows if r["case_id"] not in ("mean", "std")}) > 3
 
     def test_missing_predictions_is_data_error(self, workspace, tmp_path):
         (tmp_path / "pred").mkdir()

@@ -1,6 +1,7 @@
 """NIfTI subset: header parsing, round-trips, endianness, case assembly."""
 
 import gzip
+import threading
 
 import numpy as np
 import pytest
@@ -320,16 +321,13 @@ class TestLoadCase:
     def test_iter_case_files_streams_in_load_case_order(self, tmp_path):
         self.write_case(tmp_path, case_id="a", with_seg=True)
         self.write_case(tmp_path, case_id="b")
-        items = list(nifti.iter_case_files([(tmp_path, "a"), (tmp_path, "b")], decode=("t2",)))
+        items = list(nifti.iter_case_files([(tmp_path, "a"), (tmp_path, "b")]))
         assert [(c, n) for c, n, _ in items] == (
             [("a", n) for n in nifti.CASE_FILES] + [("b", n) for n in nifti.MODALITIES]
         )
-        kinds = {n: type(item) for c, n, item in items if c == "a"}
-        assert kinds == {"t1": nifti.VolumeHeader, "t1ce": nifti.VolumeHeader,
-                         "t2": nifti.Volume, "flair": nifti.VolumeHeader,
-                         "seg": nifti.SegmentationMask}
         case = nifti.load_case(tmp_path, "a")
-        assert np.array_equal(items[2][2].data, case.modalities["t2"].data)
+        for _, name, item in items[:4]:
+            assert np.array_equal(item.data, case.modalities[name].data)
         assert np.array_equal(items[4][2].labels, case.label.labels)
 
     @pytest.mark.parametrize("name", ["t1ce", "flair", "seg"])
@@ -346,6 +344,28 @@ class TestLoadCase:
         assert seen == [("a", n) for n in nifti.CASE_FILES] + [
             ("b", n) for n in nifti.CASE_FILES[:first_bad]
         ]
+
+    def test_read_ahead_yields_every_item_and_joins_its_thread(self, tmp_path):
+        self.write_case(tmp_path, case_id="a", with_seg=True)
+        self.write_case(tmp_path, case_id="b")
+        cases = [(tmp_path, "a"), (tmp_path, "b")]
+        baseline = threading.active_count()
+        got = list(nifti.read_ahead(nifti.iter_case_files(cases)))
+        want = list(nifti.iter_case_files(cases))
+        assert [(c, n) for c, n, _ in got] == [(c, n) for c, n, _ in want]
+        assert np.array_equal(got[-1][2].data, want[-1][2].data)
+        assert threading.active_count() == baseline
+
+        def failing():
+            yield 1
+            raise AlignmentError("bad second item")
+
+        seen = []
+        with pytest.raises(AlignmentError, match="bad second item"):
+            for item in nifti.read_ahead(failing()):
+                seen.append(item)
+        assert seen == [1]
+        assert threading.active_count() == baseline
 
     def test_list_case_ids(self, tmp_path):
         self.write_case(tmp_path, case_id="b")
