@@ -1,23 +1,26 @@
 """Spatial operations on N x C x D x H x W tensors.
 
-Dense and 1x1 convs run im2col + matmul. Backward recomputes the column
-matrix from the saved input rather than caching it, and scatters the
-input gradient back with col2im.
+A dense conv and a transposed conv are one linear map read from its two
+ends, with one weight layout: (small-side channels, big-side channels,
+k, k, k), the big side being the grid the kernel slides over. Three
+kernels run both ops, forward and backward:
 
-Depthwise convs (groups == C == O) build no column matrix, which would
-hold k^3 copies of the input. The forward sums the k^3 shifted windows
-tap by tap, each times that tap's per-channel weight, in blocks of
-(N*C) rows and output depth planes so that the running sum and its one
-temporary stay in cache. Backward adds g times each tap's weight into
-that tap's window of the padded grid, and reduces g times each window
-into that tap's weight gradient.
+- `_correlate`, im2col + matmul: conv's forward, tconv's input gradient.
+- `_correlate_adjoint`, its adjoint, built from the columns of one leading
+  kernel offset at a time, so no (N, C*k^3, L) array exists: conv's input
+  gradient, tconv's forward. When stride == k and the windows tile the
+  grid, each slab is written into a view of an unfilled grid; otherwise
+  the slabs are added into zeros in (a, b, q) order.
+- `_correlate_weight_grad`, which recomputes the column matrix from the
+  saved grid rather than caching it: the weight gradient of both.
 
-transpose_conv3d is col2im used as a forward pass, fed the columns of
-one leading kernel offset at a time, so no (N, C*k^3, L) array exists.
-When stride == k the windows tile the grid without overlapping: each
-offset's slab is written straight into a view of the output, which then
-needs no zero fill, and a remainder past do*k (conv backward only) stays
-zero. Other strides add the columns in (a, b, q) order.
+Depthwise convs (groups == C == O), the only other grouping conv3d runs,
+build no column matrix, which would hold k^3 copies of the input. The
+forward sums the k^3 shifted windows tap by tap, each times that tap's
+per-channel weight, in blocks of (N*C) rows and output depth planes so
+that the running sum and its one temporary stay in cache. Backward adds
+g times each tap's weight into that tap's window of the padded grid, and
+reduces g times each window into that tap's weight gradient.
 """
 
 import numpy as np
@@ -54,34 +57,42 @@ def _windows(k, stride, out_spatial, start=0):
         )
 
 
-def _scatter(grid, columns, k, stride, win_spatial):
-    """Put the columns of every kernel offset onto grid, in place.
+def _correlate(grid, w, stride):
+    """(N, C, D, H, W) grid, (S, C, k, k, k) weights -> (N, S, do, ho, wo)."""
+    s, c, k = w.shape[:3]
+    cols, out_spatial = _im2col(grid, k, stride)
+    return (w.reshape(s, c * k**3) @ cols).reshape(grid.shape[0], s, *out_spatial)
 
-    columns(a) gives leading offset a's columns, (n, c, k, k, do, ho, wo).
-    With stride == k each voxel of the covered block takes exactly one
-    term, which is written; otherwise they are added into grid.
-    """
-    n, c = grid.shape[:2]
-    do, ho, wo = win_spatial
-    if stride == k:
-        block = grid[:, :, : do * k, : ho * k, : wo * k].reshape(n, c, do, k, ho, k, wo, k)
-        for a in range(k):
-            block[:, :, :, a] = columns(a).transpose(0, 1, 4, 5, 2, 6, 3)
-        return grid
-    for tap, window in enumerate(_windows(k, stride, win_spatial)):
-        a, bq = divmod(tap, k * k)
-        if bq == 0:
-            slab = columns(a).reshape(n, c, k * k, do, ho, wo)
-        grid[(slice(None), slice(None)) + window] += slab[:, :, bq]
+
+def _correlate_adjoint(small, w, stride, grid_shape):
+    """Adjoint of _correlate: (N, S, do, ho, wo) -> a grid of `grid_shape`,
+    from the columns of one leading kernel offset at a time."""
+    n, s = small.shape[:2]
+    c, k = w.shape[1], w.shape[2]
+    do, ho, wo = small.shape[2:]
+    tiles = stride == k and grid_shape[2:] == (do * k, ho * k, wo * k)
+    grid = (np.empty if tiles else np.zeros)(grid_shape, dtype=np.result_type(small, w))
+    if tiles:
+        block = grid.reshape(n, c, do, k, ho, k, wo, k)
+    windows = _windows(k, stride, (do, ho, wo))
+    sm = small.reshape(n, s, -1)
+    for a in range(k):
+        slab = (w[:, :, a].reshape(s, c * k * k).T @ sm).reshape(n, c, k, k, do, ho, wo)
+        if tiles:  # each voxel takes exactly one term
+            block[:, :, :, a] = slab.transpose(0, 1, 4, 5, 2, 6, 3)
+        else:
+            for b, q in np.ndindex(k, k):
+                grid[(slice(None), slice(None)) + next(windows)] += slab[:, :, b, q]
+        del slab  # else it lives on while the next offset's slab is made
     return grid
 
 
-def _col2im(dcols, grid_shape, k, stride, win_spatial):
-    """Adjoint of _im2col: scatter columns back onto the padded grid."""
-    n, c = grid_shape[:2]
-    dcols = dcols.reshape(n, c, k, k, k, *win_spatial)
-    grid = np.zeros(grid_shape, dtype=dcols.dtype)
-    return _scatter(grid, lambda a: dcols[:, :, a], k, stride, win_spatial)
+def _correlate_weight_grad(grid, small, k, stride):
+    """Gradient of _correlate's (S, C, k, k, k) weights, `small` its upstream."""
+    n, s = small.shape[:2]
+    cols, _ = _im2col(grid, k, stride)
+    dw = np.matmul(small.reshape(n, s, -1), cols.transpose(0, 2, 1)).sum(axis=0)
+    return dw.reshape(s, grid.shape[1], k, k, k)
 
 
 def _depthwise(rows, taps, k, stride, out_spatial):
@@ -117,15 +128,18 @@ def _require_rank5(x, op):
 
 
 def conv3d(x, w, bias=None, stride=1, padding=0, groups=1):
-    """Cross-correlation with cubic kernels and optional channel groups."""
+    """Cross-correlation with cubic kernels: dense (groups 1) or depthwise
+    (groups == C == O)."""
     _require_rank5(x, "conv3d")
     if w.ndim != 5 or not (w.shape[2] == w.shape[3] == w.shape[4]):
         raise ShapeError(f"conv3d expects O x C/g x k x k x k weights, got {w.shape}")
     n, c = x.shape[:2]
     o, cg, k = w.shape[0], w.shape[1], w.shape[2]
-    if c % groups or o % groups or cg != c // groups:
+    depthwise = groups == c == o
+    if not (groups == 1 or depthwise) or cg != c // groups:
         raise ShapeError(
-            f"conv3d channel geometry invalid: in={c} out={o} groups={groups} w_in={cg}"
+            f"conv3d runs dense (groups 1) or depthwise (groups == in == out) convs, "
+            f"got in={c} out={o} groups={groups} w_in={cg}"
         )
     for s in x.shape[2:]:
         if s + 2 * padding < k:
@@ -135,24 +149,21 @@ def conv3d(x, w, bias=None, stride=1, padding=0, groups=1):
 
     pad = ((0, 0), (0, 0)) + ((padding, padding),) * 3
     padded = np.pad(x.data, pad) if padding else x.data
-    depthwise = groups == c == o
     if depthwise:
         out_spatial = tuple((s - k) // stride + 1 for s in padded.shape[2:])
         rows = padded.reshape(n * c, *padded.shape[2:])
         taps = np.tile(w.data.reshape(c, k**3), (n, 1))
-        out = _depthwise(rows, taps, k, stride, out_spatial)
+        out = _depthwise(rows, taps, k, stride, out_spatial).reshape(n, o, *out_spatial)
     else:
-        cols, out_spatial = _im2col(padded, k, stride)
-        wm = w.data.reshape(groups, o // groups, cg * k**3)
-        out = wm @ cols.reshape(n, groups, cg * k**3, -1)
-    length = int(np.prod(out_spatial))
-    out = out.reshape(n, o, *out_spatial)
+        out = _correlate(padded, w.data, stride)
+        out_spatial = out.shape[2:]
     if bias is not None:
         out += bias.data.reshape(1, o, 1, 1, 1)
 
     parents = (x, w) if bias is None else (x, w, bias)
 
     def depthwise_backward(g):
+        length = int(np.prod(out_spatial))
         g_rows = g.reshape(n * c, *out_spatial)
         part = np.empty_like(g_rows)
         if x.requires_grad:
@@ -173,15 +184,10 @@ def conv3d(x, w, bias=None, stride=1, padding=0, groups=1):
         return dpad if x.requires_grad else None
 
     def dense_backward(g):
-        gm = g.reshape(n, groups, o // groups, length)
         if w.requires_grad:
-            cols_b, _ = _im2col(padded, k, stride)
-            colsg = cols_b.reshape(n, groups, cg * k**3, length)
-            dw = np.matmul(gm, colsg.transpose(0, 1, 3, 2)).sum(axis=0)
-            _accumulate(w, dw.reshape(w.shape))
+            _accumulate(w, _correlate_weight_grad(padded, g, k, stride))
         if x.requires_grad:
-            dcols = np.matmul(wm.transpose(0, 2, 1), gm).reshape(n, c * k**3, length)
-            return _col2im(dcols, padded.shape, k, stride, out_spatial)
+            return _correlate_adjoint(g, w.data, stride, padded.shape)
         return None
 
     def backward_fn(g):
@@ -212,34 +218,18 @@ def transpose_conv3d(x, w, bias=None, stride=1):
     co, k = w.shape[1], w.shape[2]
     if bias is not None and bias.shape != (co,):
         raise ShapeError(f"bias shape {bias.shape} != ({co},)")
-    in_spatial = x.shape[2:]
-    out_spatial = tuple((s - 1) * stride + k for s in in_spatial)
-    length = int(np.prod(in_spatial))
-    xm = x.data.reshape(n, ci, length)
-
-    def columns(a):
-        slab = w.data[:, :, a].reshape(ci, co * k * k).T @ xm
-        return slab.reshape(n, co, k, k, *in_spatial)
-
-    # stride == k: the slabs cover the output exactly, so it needs no zeros
-    alloc = np.empty if stride == k else np.zeros
-    out = alloc((n, co) + out_spatial, dtype=np.result_type(x.data, w.data))
-    out = _scatter(out, columns, k, stride, in_spatial)
+    out_spatial = tuple((s - 1) * stride + k for s in x.shape[2:])
+    out = _correlate_adjoint(x.data, w.data, stride, (n, co) + out_spatial)
     if bias is not None:
         out += bias.data.reshape(1, co, 1, 1, 1)
 
     parents = (x, w) if bias is None else (x, w, bias)
 
     def backward_fn(g):
-        if x.requires_grad or w.requires_grad:
-            gcols, win_spatial = _im2col(g.reshape(n, co, *out_spatial), k, stride)
-            assert win_spatial == in_spatial
-            if x.requires_grad:
-                dx = (w.data.reshape(ci, co * k**3) @ gcols).reshape(x.shape)
-                _accumulate(x, dx)
-            if w.requires_grad:
-                dw = np.matmul(xm, gcols.transpose(0, 2, 1)).sum(axis=0)
-                _accumulate(w, dw.reshape(w.shape))
+        if x.requires_grad:
+            _accumulate(x, _correlate(g, w.data, stride))
+        if w.requires_grad:
+            _accumulate(w, _correlate_weight_grad(g, x.data, k, stride))
         if bias is not None:
             _accumulate(bias, g.sum(axis=(0, 2, 3, 4)))
 

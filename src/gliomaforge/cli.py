@@ -13,7 +13,9 @@ import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
+from itertools import chain, groupby
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +30,7 @@ from .nifti import (
     MODALITIES,
     MultiModalCase,
     SegmentationMask,
+    _find_file,
     iter_case_files,
     list_case_ids,
     load_case,
@@ -136,22 +139,30 @@ def _case_files(directory, case_ids=None):
 
 def _harmonize_cases(task):
     """Match and write each file of a list of cases as it arrives, while the
-    next one is read. A case's files are renamed into place when the next
-    case starts or the stream ends, so a file that fails to read or match
-    leaves none of its case behind."""
+    next one is read, and yield each case id once its files are in place.
+    A case's files are renamed into place together when the next case
+    starts or the stream ends, so a file that fails to read or match leaves
+    none of its case behind. Errors name the file."""
     in_dir, out_dir, case_ids, cdfs, quantiles, compress = task
     ext = ".nii.gz" if compress else ".nii"
-    with ExitStack() as case:
-        for case_id, name, item in read_ahead(_case_files(in_dir, case_ids)):
-            if name == MODALITIES[0]:  # the case before is whole
-                case.close()
-                stage = case.enter_context(atomic_outputs())
-            tmp = stage(Path(out_dir) / f"{case_id}-{name}{ext}")
-            if name == "seg":
-                save_mask(tmp, item)
-            else:
-                save_volume(tmp, match_histogram(item, cdfs[name], quantiles=quantiles))
-    return case_ids
+    for case_id, files in groupby(read_ahead(_case_files(in_dir, case_ids)), itemgetter(0)):
+        with atomic_outputs() as stage:
+            for _, name, item in files:
+                tmp = stage(Path(out_dir) / f"{case_id}-{name}{ext}")
+                if name == "seg":
+                    save_mask(tmp, item)
+                    continue
+                try:
+                    item = match_histogram(item, cdfs[name], quantiles=quantiles)
+                except GliomaForgeError as err:
+                    path = _find_file(Path(in_dir), f"{case_id}-{name}")
+                    raise type(err)(f"{path}: {err}") from err
+                save_volume(tmp, item)
+        yield case_id
+
+
+def _harmonize_task(task):
+    return list(_harmonize_cases(task))
 
 
 def cmd_harmonize(args) -> int:
@@ -164,9 +175,11 @@ def cmd_harmonize(args) -> int:
     # with --jobs N, one task per case, scheduled as workers come free
     groups = [[cid] for cid in ids] if args.jobs > 1 else [ids]
     tasks = [(args.in_dir, args.out, group, cdfs, quantiles, args.compress) for group in groups]
-    for chunk in _map_cases(_harmonize_cases, tasks, args.jobs):
-        for case_id in chunk:
-            print(f"harmonized {case_id}")
+    # in process, each case is reported once its files are in place; a
+    # worker process returns its case ids together
+    work = _harmonize_task if args.jobs > 1 else _harmonize_cases
+    for case_id in chain.from_iterable(_map_cases(work, tasks, args.jobs)):
+        print(f"harmonized {case_id}", flush=True)
     return EXIT_OK
 
 

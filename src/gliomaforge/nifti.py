@@ -234,10 +234,6 @@ class MultiModalCase:
     def spacing(self) -> tuple[float, float, float]:
         return next(iter(self.modalities.values())).spacing
 
-    def stack(self) -> np.ndarray:
-        """Channel-stacked (4, D, H, W) float32 array in T1/T1CE/T2/FLAIR order."""
-        return np.stack([self.modalities[m].data for m in MODALITIES], axis=0)
-
 
 def parse_header(buf: bytes) -> VolumeHeader:
     """Decode a 348-byte NIfTI-1 header, detecting endianness from sizeof_hdr."""
@@ -263,18 +259,13 @@ def parse_header(buf: bytes) -> VolumeHeader:
     ndim = int(raw["dim"][0])
     if ndim < 3:
         raise HeaderError(f"need at least 3 spatial dims, header declares {ndim}")
-    dims = tuple(int(d) for d in raw["dim"][1:4])
     if any(int(d) > 1 for d in raw["dim"][4 : 1 + ndim]):
         raise HeaderError(f"only 3-D volumes supported, dim field is {list(raw['dim'])}")
-    if any(d < 1 for d in dims):
-        raise HeaderError(f"nonpositive dims {dims}")
-    spacing = tuple(float(s) for s in raw["pixdim"][1:4])
-    if any(s <= 0 for s in spacing):
-        raise HeaderError(f"nonpositive spacing {spacing}")
     slope = float(raw["scl_slope"])
+    # VolumeHeader checks the dims and spacing
     return VolumeHeader(
-        dims=dims,
-        spacing=spacing,
+        dims=tuple(int(d) for d in raw["dim"][1:4]),
+        spacing=tuple(float(s) for s in raw["pixdim"][1:4]),
         datatype=np.dtype(_CODE_TO_DTYPE[code]).name,
         scl_slope=1.0 if slope == 0.0 else slope,
         scl_inter=float(raw["scl_inter"]),

@@ -148,6 +148,13 @@ def suite_autodiff(seed):
     lhs = float((conv3d(x, w, stride=2).data * y.data).sum())
     rhs = float((transpose_conv3d(y, w, stride=2).data * x.data).sum())
     _check(abs(lhs - rhs) <= 1e-6 * max(abs(lhs), 1.0), "conv/tconv adjoint identity broken")
+    # tconv's backward runs the dense conv kernels: overlapping windows under
+    # a random upstream weight, which a constant .sum() upstream would pass
+    upstream = Tensor(rng.normal(size=(1, 3, 5, 7, 5)))
+    gradcheck(
+        lambda ts: (transpose_conv3d(ts[0], ts[1], bias=ts[2], stride=2) * upstream).sum(),
+        [rng.normal(size=(1, 2, 2, 3, 2)), rng.normal(size=(2, 3, 3, 3, 3)), rng.normal(size=3)],
+    )
     # Depthwise convs run the tap path; a dense conv whose weight is
     # block-diagonal computes the same sums, and gradients, through im2col.
     for stride in (1, 2):

@@ -57,9 +57,6 @@ class PCAModel:
     components: np.ndarray  # (d, m), orthonormal columns
     explained_variance_ratios: np.ndarray  # (m,), descending
 
-    def transform(self, matrix: np.ndarray) -> np.ndarray:
-        return (_checked(matrix) - self.means) @ self.components
-
 
 def pca_fit_transform(
     matrix: np.ndarray, components: int = DEFAULT_COMPONENTS
@@ -150,10 +147,6 @@ class FoldAssignment:
     def __post_init__(self):
         if not len(self.case_ids) == self.clusters.size == self.folds.size:
             raise ConfigError("fold assignment fields have mismatched lengths")
-
-    def lookup(self, case_id: str) -> tuple[int, int]:
-        i = self.case_ids.index(case_id)
-        return int(self.clusters[i]), int(self.folds[i])
 
 
 def stratified_folds(

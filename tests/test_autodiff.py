@@ -22,7 +22,7 @@ from gliomaforge.autodiff import (
     trilinear_resize,
 )
 from gliomaforge.autodiff import conv as conv_module
-from gliomaforge.autodiff.conv import _col2im
+from gliomaforge.autodiff.conv import _correlate, _correlate_adjoint
 from gliomaforge.errors import CheckpointError, ShapeError
 
 
@@ -181,6 +181,9 @@ class TestConv3d:
             conv3d(Tensor(np.zeros((1, 3, 4, 4, 4))), Tensor(np.zeros((2, 1, 3, 3, 3))), groups=2)
         with pytest.raises(ShapeError):
             conv3d(Tensor(np.zeros((1, 1, 2, 2, 2))), Tensor(np.zeros((1, 1, 3, 3, 3))))
+        # only dense (groups 1) and depthwise (groups == C == O) convs run
+        with pytest.raises(ShapeError):
+            conv3d(Tensor(np.zeros((1, 4, 4, 4, 4))), Tensor(np.zeros((4, 2, 3, 3, 3))), groups=2)
 
 
 def scatter_loop(dcols, grid_shape, k, stride, win_spatial):
@@ -267,7 +270,7 @@ class TestDepthwiseConv:
 
 
 class TestNonOverlappingWindows:
-    """stride == k: the col2im reshape, and gradients through it."""
+    """stride == k: the adjoint's reshape, and gradients through it."""
 
     @pytest.mark.parametrize(
         "grid_shape, k, win_spatial",
@@ -284,7 +287,9 @@ class TestNonOverlappingWindows:
         rng = np.random.default_rng(16)
         n, c = grid_shape[:2]
         dcols = rng.normal(size=(n, c * k**3, int(np.prod(win_spatial)))).astype(dtype)
-        fast = _col2im(dcols, grid_shape, k, k, win_spatial)
+        # the adjoint under an identity weight is col2im
+        eye = np.eye(c * k**3, dtype=dtype).reshape(c * k**3, c, k, k, k)
+        fast = _correlate_adjoint(dcols.reshape(n, -1, *win_spatial), eye, k, grid_shape)
         slow = scatter_loop(dcols, grid_shape, k, k, win_spatial)
         assert fast.dtype == slow.dtype
         assert fast.tobytes() == slow.tobytes()
@@ -322,6 +327,32 @@ class TestNonOverlappingWindows:
              rng.normal(size=(3,))],
         )
         assert err < 1e-4
+
+
+class TestCorrelateAdjoint:
+    """The kernel shared by conv3d's backward and transpose_conv3d's
+    forward is the adjoint of the one shared by their other directions."""
+
+    @pytest.mark.parametrize(
+        "k, stride, padding, spatial",
+        [
+            (3, 1, 0, (5, 4, 6)),
+            (3, 2, 0, (6, 5, 7)),  # a remainder past the last window
+            (3, 2, 1, (6, 5, 7)),
+            (2, 2, 0, (4, 6, 8)),  # stride == k, the windows tile the grid
+            (2, 2, 1, (5, 5, 5)),  # stride == k with a remainder
+        ],
+    )
+    def test_inner_products_match(self, k, stride, padding, spatial):
+        rng = np.random.default_rng(70 + k + stride + padding)
+        x = rng.normal(size=(2, 3) + spatial)
+        w = rng.normal(size=(4, 3, k, k, k))
+        grid = np.pad(x, ((0, 0), (0, 0)) + ((padding, padding),) * 3)
+        fwd = _correlate(grid, w, stride)
+        y = rng.normal(size=fwd.shape)
+        back = _correlate_adjoint(y, w, stride, grid.shape)
+        inner = (slice(None),) * 2 + tuple(slice(padding, padding + s) for s in spatial)
+        assert np.sum(fwd * y) == pytest.approx(np.sum(x * back[inner]), rel=1e-12)
 
 
 class TestTransposeConv3d:

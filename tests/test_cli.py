@@ -481,10 +481,12 @@ class TestHarmonizeStreaming:
         argv = ["harmonize", "--ref-dir", str(small_cohort / suffix / "ref"), "--in", str(raw),
                 "--out", str(out)]
         assert main(argv) == EXIT_DATA
-        err = capsys.readouterr().err
+        out_text, err = capsys.readouterr()
         assert message in err
-        if fault != "empty":  # matching, not decoding, fails on an empty volume
-            assert str(flair) in err
+        assert str(flair) in err
+        # the first case was reported as soon as its files were in place
+        assert "harmonized synth-000" in out_text
+        assert "synth-001" not in out_text
         assert threading.active_count() == baseline
         assert not [p.name for p in out.iterdir() if p.name.startswith(".tmp")]
         # the first case streamed out whole before the fault was read; the

@@ -273,7 +273,6 @@ class TestLoadCase:
         case = nifti.load_case(tmp_path, "sub1")
         assert case.label is None
         assert case.dims == (4, 4, 4)
-        assert case.stack().shape == (4, 4, 4, 4)
 
     def test_case_with_label(self, tmp_path):
         self.write_case(tmp_path, with_seg=True)

@@ -97,12 +97,6 @@ class TestPCA:
             col = model.components[:, j]
             assert col[np.argmax(np.abs(col))] > 0
 
-    def test_transform_matches_fit_output(self):
-        rng = np.random.default_rng(6)
-        m = rng.normal(size=(15, 4))
-        model, reduced = pca_fit_transform(m, components=3)
-        np.testing.assert_allclose(model.transform(m), reduced, atol=1e-12)
-
     def test_too_many_components(self):
         with pytest.raises(ConfigError):
             pca_fit_transform(np.zeros((4, 10)), components=4)  # limit is n-1 = 3
@@ -206,12 +200,6 @@ class TestStratifiedFolds:
     def test_nonpositive_fold_count_rejected(self, n_folds):
         with pytest.raises(ConfigError, match=f"got {n_folds}"):
             stratified_folds(["a", "b", "c"], np.zeros(3, int), n_folds=n_folds)
-
-    def test_lookup(self):
-        fa = stratified_folds([f"c{i}" for i in range(6)], np.zeros(6, int), n_folds=5)
-        cluster, fold = fa.lookup("c3")
-        assert cluster == 0
-        assert fold in range(5)
 
 
 class TestPipeline:
