@@ -37,21 +37,26 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     offset = 8
 
     def take(n):
+        """Offset of the next n bytes, checked against the end of the file."""
         nonlocal offset
         if offset + n > len(blob):
             raise CheckpointError(f"{path}: truncated at byte {offset}")
-        piece = blob[offset : offset + n]
         offset += n
-        return piece
+        return offset - n
+
+    def unpack(fmt):
+        return struct.unpack_from(fmt, blob, take(struct.calcsize(fmt)))
 
     while offset < len(blob):
-        (name_len,) = struct.unpack("<I", take(4))
-        name = take(name_len).decode("utf-8")
-        (rank,) = struct.unpack("<I", take(4))
-        shape = struct.unpack(f"<{rank}I", take(4 * rank))
+        (name_len,) = unpack("<I")
+        start = take(name_len)
+        name = blob[start:offset].decode("utf-8")
+        (rank,) = unpack("<I")
+        shape = unpack(f"<{rank}I")
         count = int(np.prod(shape)) if rank else 1
-        payload = take(4 * count)
+        # a view of the file's bytes, then the one copy the array owns
+        payload = np.frombuffer(blob, "<f4", count, take(4 * count))
         if name in arrays:
             raise CheckpointError(f"{path}: duplicate record {name!r}")
-        arrays[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
+        arrays[name] = payload.reshape(shape).copy()
     return arrays

@@ -12,7 +12,9 @@ kernels run both ops, forward and backward:
   grid, each slab is written into a view of an unfilled grid; otherwise
   the slabs are added into zeros in (a, b, q) order.
 - `_correlate_weight_grad`, which recomputes the column matrix from the
-  saved grid rather than caching it: the weight gradient of both.
+  saved grid rather than caching it: the weight gradient of both. In
+  tconv's backward the grid is the upstream gradient, whose column matrix
+  is made once for both of its gradients.
 
 Depthwise convs (groups == C == O), the only other grouping conv3d runs,
 build no column matrix, which would hold k^3 copies of the input. The
@@ -57,10 +59,11 @@ def _windows(k, stride, out_spatial, start=0):
         )
 
 
-def _correlate(grid, w, stride):
-    """(N, C, D, H, W) grid, (S, C, k, k, k) weights -> (N, S, do, ho, wo)."""
+def _correlate(grid, w, stride, columns=None):
+    """(N, C, D, H, W) grid, (S, C, k, k, k) weights -> (N, S, do, ho, wo).
+    `columns` is the grid's `_im2col`, if the caller already made it."""
     s, c, k = w.shape[:3]
-    cols, out_spatial = _im2col(grid, k, stride)
+    cols, out_spatial = columns or _im2col(grid, k, stride)
     return (w.reshape(s, c * k**3) @ cols).reshape(grid.shape[0], s, *out_spatial)
 
 
@@ -87,10 +90,11 @@ def _correlate_adjoint(small, w, stride, grid_shape):
     return grid
 
 
-def _correlate_weight_grad(grid, small, k, stride):
-    """Gradient of _correlate's (S, C, k, k, k) weights, `small` its upstream."""
+def _correlate_weight_grad(grid, small, k, stride, columns=None):
+    """Gradient of _correlate's (S, C, k, k, k) weights, `small` its upstream;
+    `columns` as in `_correlate`."""
     n, s = small.shape[:2]
-    cols, _ = _im2col(grid, k, stride)
+    cols, _ = columns or _im2col(grid, k, stride)
     dw = np.matmul(small.reshape(n, s, -1), cols.transpose(0, 2, 1)).sum(axis=0)
     return dw.reshape(s, grid.shape[1], k, k, k)
 
@@ -226,10 +230,12 @@ def transpose_conv3d(x, w, bias=None, stride=1):
     parents = (x, w) if bias is None else (x, w, bias)
 
     def backward_fn(g):
+        if x.requires_grad or w.requires_grad:
+            columns = _im2col(g, k, stride)  # g's columns serve both gradients
         if x.requires_grad:
-            _accumulate(x, _correlate(g, w.data, stride))
+            _accumulate(x, _correlate(g, w.data, stride, columns))
         if w.requires_grad:
-            _accumulate(w, _correlate_weight_grad(g, x.data, k, stride))
+            _accumulate(w, _correlate_weight_grad(g, x.data, k, stride, columns))
         if bias is not None:
             _accumulate(bias, g.sum(axis=(0, 2, 3, 4)))
 

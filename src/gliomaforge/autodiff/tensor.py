@@ -59,8 +59,9 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         # leaves that require grad start at zeros so an unused leaf still
-        # reports a well-defined (zero) gradient after backward
-        self.grad = np.zeros_like(arr) if requires_grad else None
+        # reports a well-defined (zero) gradient after backward; np.zeros
+        # leaves a large buffer's pages untouched until it is written
+        self.grad = np.zeros(arr.shape, arr.dtype) if requires_grad else None
         self._parents = ()
         self._backward_fn = None
 
@@ -87,7 +88,7 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def zero_grad(self):
-        self.grad = np.zeros_like(self.data) if self.requires_grad else None
+        self.grad = np.zeros(self.shape, self.dtype) if self.requires_grad else None
 
     # -- graph construction ------------------------------------------------
 
@@ -323,11 +324,35 @@ def _accumulate(tensor, grad):
 
 
 class Parameter(Tensor):
-    """Trainable tensor with a name used as its checkpoint key."""
+    """Trainable tensor with a name used as its checkpoint key.
 
-    def __init__(self, data, name):
+    With `init`, `data` starts as a placeholder of the right shape and
+    dtype, and the first read of `.data` calls `init()`, which must assign
+    `.data`. `shape`, `dtype`, `size` and `ndim` read the placeholder
+    without calling it. Assigning `.data` (a checkpoint load, say) cancels
+    the pending `init`.
+    """
+
+    def __init__(self, data, name, init=None):
         super().__init__(data, requires_grad=True)
         self.name = name
+        self._init = init
+
+    @property
+    def data(self):
+        if self._init is not None:
+            self._init()
+        return self._data
+
+    @data.setter
+    def data(self, value):
+        self._data = value
+        self._init = None
+
+    shape = property(lambda self: self._data.shape)
+    ndim = property(lambda self: self._data.ndim)
+    size = property(lambda self: self._data.size)
+    dtype = property(lambda self: self._data.dtype)
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.shape})"

@@ -113,10 +113,13 @@ def resolve_seed(args, config) -> int:
 
 
 def _map_cases(work, tasks, jobs):
+    """Yield `work(task)` for each task in task order, each as soon as it and
+    every task before it are done; with `jobs` > 1, in worker processes."""
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(work, tasks))
-    return [work(task) for task in tasks]
+            yield from pool.map(work, tasks)
+    else:
+        yield from map(work, tasks)
 
 
 # -- harmonize -------------------------------------------------------------
@@ -175,8 +178,8 @@ def cmd_harmonize(args) -> int:
     # with --jobs N, one task per case, scheduled as workers come free
     groups = [[cid] for cid in ids] if args.jobs > 1 else [ids]
     tasks = [(args.in_dir, args.out, group, cdfs, quantiles, args.compress) for group in groups]
-    # in process, each case is reported once its files are in place; a
-    # worker process returns its case ids together
+    # each case is reported once its files, and those of every case before
+    # it, are in place
     work = _harmonize_task if args.jobs > 1 else _harmonize_cases
     for case_id in chain.from_iterable(_map_cases(work, tasks, args.jobs)):
         print(f"harmonized {case_id}", flush=True)
@@ -199,7 +202,7 @@ def cmd_features(args) -> int:
         raise ConfigError(f"modality {modality!r} is not one of {list(MODALITIES)}")
     bin_width = cfgmod.option(args.bin_width, config, "bin_width", DEFAULT_BIN_WIDTH, float)
     tasks = [(args.in_dir, cid, modality, bin_width) for cid in list_case_ids(args.in_dir)]
-    rows = _map_cases(_features_one, tasks, args.jobs)
+    rows = list(_map_cases(_features_one, tasks, args.jobs))
     with atomic_output(args.out) as tmp:
         write_features_csv(tmp, rows)
     print(f"wrote {len(rows)} feature rows to {args.out}")

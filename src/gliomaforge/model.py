@@ -78,26 +78,44 @@ class ModelConfig:
 
 
 class _Store:
-    """Creates named parameters with seeded initialization."""
+    """Creates named parameters with seeded initialization.
+
+    Kaiming weights are drawn on the first read of any of their values, so
+    a model that loads a checkpoint draws nothing. The draw takes every
+    pending weight's normals from the one generator in creation order, the
+    same stream as drawing each weight when it is created, and keeps any
+    value assigned before it.
+    """
 
     def __init__(self, seed, dtype):
         self.rng = np.random.default_rng(seed)
         self.dtype = dtype
         self.params: dict[str, Parameter] = {}
+        self._pending: list[tuple[Parameter, float]] = []
 
-    def _add(self, name, array):
+    def _add(self, name, array, init=None):
         if name in self.params:
             raise ConfigError(f"duplicate parameter name {name}")
-        p = Parameter(array.astype(self.dtype), name=name)
+        p = Parameter(array, name=name, init=init)
         self.params[name] = p
         return p
 
     def kaiming(self, name, shape, fan_in):
-        std = math.sqrt(2.0 / fan_in)
-        return self._add(name, self.rng.normal(0.0, std, size=shape))
+        # read-only NaN placeholder: costs nothing, and misuse fails loudly
+        placeholder = np.broadcast_to(np.array(np.nan, dtype=self.dtype), shape)
+        p = self._add(name, placeholder, init=self._draw)
+        self._pending.append((p, math.sqrt(2.0 / fan_in)))
+        return p
 
     def constant(self, name, shape, value):
-        return self._add(name, np.full(shape, value, dtype=np.float64))
+        return self._add(name, np.full(shape, value, dtype=self.dtype))
+
+    def _draw(self):
+        pending, self._pending = self._pending, []
+        for p, std in pending:
+            values = self.rng.normal(0.0, std, size=p.shape)
+            if p._init is not None:  # not assigned since it was created
+                p.data = values.astype(self.dtype)
 
 
 def _to_tokens(x):
@@ -306,8 +324,10 @@ class GliomaForgeNet:
         store = _Store(seed, dtype)
         stem_c = cfg.in_channels
         self.stem_low = _Conv(store, "stem.low", stem_c, stem_c, 3, padding=1, groups=stem_c)
-        # overwrite Kaiming draw: the low path starts as an exact box mean
-        self.stem_low.weight.data = np.full_like(self.stem_low.weight.data, 1.0 / 27.0)
+        # replaces the Kaiming draw (which still consumes its normals): the
+        # low path starts as an exact box mean
+        weight = self.stem_low.weight
+        weight.data = np.full(weight.shape, 1.0 / 27.0, dtype=weight.dtype)
         self.stem_high = _Conv(store, "stem.high", stem_c, stem_c, 3, padding=1, groups=stem_c)
         self.stages = []
         cin = 2 * stem_c
@@ -319,6 +339,7 @@ class GliomaForgeNet:
             cfg.channel_attn_reduction,
         )
         self.decoder = _Decoder(store, "decoder", cfg)
+        self._store = store
         self._params = store.params
 
     # -- parameters --------------------------------------------------------
@@ -350,7 +371,7 @@ class GliomaForgeNet:
                 raise CheckpointError(
                     f"{name}: checkpoint shape {arrays[name].shape} != model {p.shape}"
                 )
-            p.data = arrays[name].astype(p.data.dtype)
+            p.data = arrays[name].astype(p.dtype, copy=False)
 
     # -- forward -----------------------------------------------------------
 

@@ -7,6 +7,8 @@ without the development test harness installed.
 
 import io
 import math
+import os
+import tempfile
 import traceback
 
 import numpy as np
@@ -192,6 +194,16 @@ def suite_model_contract(seed):
     _check(logits.dtype == np.float32, f"float32 model returned {logits.dtype} logits")
     again = model(x)
     _check(np.array_equal(logits.data, again.data), "forward pass not deterministic")
+    # a loaded model skips its own draw and keeps the checkpoint's weights
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.ckpt")
+        model.save(path)
+        loaded = GliomaForgeNet(config=ModelConfig(**SMALL_MODEL), seed=seed + 1)
+        loaded.load(path)
+    _check(
+        loaded(x).data.tobytes() == logits.data.tobytes(),
+        "logits changed through a checkpoint save and load",
+    )
 
 
 def suite_loss_optimizer(seed):

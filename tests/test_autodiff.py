@@ -408,6 +408,25 @@ class TestTransposeConv3d:
         with pytest.raises(ShapeError):
             transpose_conv3d(Tensor(np.zeros((1, 3, 2, 2, 2))), Tensor(np.zeros((2, 1, 2, 2, 2))))
 
+    @pytest.mark.parametrize("x_grad, w_grad", [(True, True), (True, False), (False, True)])
+    def test_backward_builds_columns_once(self, monkeypatch, x_grad, w_grad):
+        # the upstream gradient's column matrix serves dx and dw alike
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0].shape)
+            return im2col(*args)
+
+        im2col = conv_module._im2col
+        monkeypatch.setattr(conv_module, "_im2col", counting)
+        rng = np.random.default_rng(61)
+        x = Tensor(rng.normal(size=(1, 2, 3, 3, 3)), requires_grad=x_grad)
+        w = Tensor(rng.normal(size=(2, 3, 3, 3, 3)), requires_grad=w_grad)
+        out = transpose_conv3d(x, w, stride=2)
+        assert calls == []
+        out.sum().backward()
+        assert calls == [out.shape]
+
 
 class TestPooling:
     def test_constant_input(self):

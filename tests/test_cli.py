@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import time
 import weakref
 
 import numpy as np
@@ -17,6 +18,7 @@ from gliomaforge.cli import (
     EXIT_DATA,
     EXIT_OK,
     EXIT_USAGE,
+    _map_cases,
     atomic_output,
     main,
     resolve_seed,
@@ -358,7 +360,7 @@ class TestHarmonizeCommand:
         assert after < before
         assert after <= 0.05
 
-    def test_parallel_jobs_match_sequential(self, workspace, tmp_path):
+    def test_parallel_jobs_match_sequential(self, workspace, tmp_path, capsys):
         out = tmp_path / "harm2"
         rc = main(
             ["harmonize", "--ref-dir", str(workspace["ref"]), "--in", str(workspace["raw"]),
@@ -368,6 +370,36 @@ class TestHarmonizeCommand:
         a = (workspace["harm"] / "synth-001-t2.nii").read_bytes()
         b = (out / "synth-001-t2.nii").read_bytes()
         assert a == b
+        ids = list_case_ids(workspace["raw"])
+        assert capsys.readouterr().out.split() == [w for cid in ids for w in ("harmonized", cid)]
+
+
+def _gated(task):
+    """Return `value` once `flag` exists (at once if it is None), or
+    "timed out" after 30 s."""
+    flag, value = task
+    deadline = time.monotonic() + 30
+    while flag is not None and not os.path.exists(flag):
+        if time.monotonic() > deadline:
+            return "timed out"
+        time.sleep(0.01)
+    return value
+
+
+class TestMapCases:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_yields_in_task_order(self, jobs):
+        tasks = [(None, value) for value in range(5)]
+        assert list(_map_cases(_gated, tasks, jobs)) == list(range(5))
+
+    def test_yields_each_result_as_it_arrives(self, tmp_path):
+        # the second task waits for a file the test makes only after it has
+        # received the first result
+        flag = tmp_path / "go"
+        results = _map_cases(_gated, [(None, "first"), (str(flag), "second")], 2)
+        assert next(results) == "first"
+        flag.touch()
+        assert list(results) == ["second"]
 
 
 def _old_harmonize(ref_dir, in_dir, out_dir, compress, quantiles=256):

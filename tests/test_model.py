@@ -1,9 +1,12 @@
 """Network architecture: stem, encoder, attention gates, decoder."""
 
+import math
+
 import numpy as np
 import pytest
 
-from gliomaforge.autodiff import Tensor, no_grad
+from gliomaforge import model as model_module
+from gliomaforge.autodiff import Tensor, load_checkpoint, no_grad
 from gliomaforge.errors import CheckpointError, ConfigError, ShapeError
 from gliomaforge.model import GliomaForgeNet, ModelConfig, _Attention, _Store, _to_tokens
 
@@ -18,6 +21,27 @@ SMALL = dict(
 
 def small_net(seed=0, dtype=np.float32):
     return GliomaForgeNet(ModelConfig(**SMALL), seed=seed, dtype=dtype)
+
+
+class _EagerStore(_Store):
+    """Draws each Kaiming weight when it is created: the reference the
+    deferred draw must reproduce bit for bit."""
+
+    def kaiming(self, name, shape, fan_in):
+        std = math.sqrt(2.0 / fan_in)
+        return self._add(name, self.rng.normal(0.0, std, size=shape).astype(self.dtype))
+
+
+def eager_params(monkeypatch, config, seed, dtype):
+    with monkeypatch.context() as patch:
+        patch.setattr(model_module, "_Store", _EagerStore)
+        net = GliomaForgeNet(config, seed=seed, dtype=dtype)
+    return {name: p.data for name, p in net.named_parameters().items()}
+
+
+def assert_fresh_generator(net, seed):
+    fresh = np.random.default_rng(seed).bit_generator.state
+    assert net._store.rng.bit_generator.state == fresh
 
 
 class TestConfig:
@@ -287,6 +311,51 @@ class TestParameters:
         assert tokens.shape == (2, 8, 3)
 
 
+class TestDeferredDraw:
+    @pytest.mark.parametrize("small", [False, True], ids=["default", "small"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_eager_draw(self, monkeypatch, small, dtype):
+        config = ModelConfig(**SMALL) if small else None
+        want = eager_params(monkeypatch, config, 7, dtype)
+        got = GliomaForgeNet(config, seed=7, dtype=dtype).named_parameters()
+        assert list(got) == list(want)
+        for name, p in got.items():
+            assert p.dtype == want[name].dtype, name
+            assert p.data.tobytes() == want[name].tobytes(), name
+
+    def test_load_draws_nothing(self, tmp_path):
+        path = tmp_path / "net.ckpt"
+        small_net(seed=3).save(path)
+        net = small_net(seed=11)
+        net.load(path)
+        assert_fresh_generator(net, 11)
+        saved = load_checkpoint(path)
+        for name, p in net.named_parameters().items():
+            np.testing.assert_array_equal(p.data, saved[name])
+        assert_fresh_generator(net, 11)
+
+    def test_value_set_before_draw_survives(self, monkeypatch):
+        want = eager_params(monkeypatch, ModelConfig(**SMALL), 5, np.float32)
+        net = small_net(seed=5)
+        fc2 = net.stages[1].blocks[0].ffn.fc2.weight
+        fc2.data = np.zeros(fc2.shape, dtype=fc2.dtype)
+        got = {name: p.data for name, p in net.named_parameters().items()}
+        np.testing.assert_array_equal(got.pop(fc2.name), 0.0)
+        for name, values in got.items():
+            assert values.tobytes() == want[name].tobytes(), name
+
+    def test_shape_and_size_do_not_draw(self):
+        net = small_net(seed=4)
+        weight = net.stages[0].blocks[0].attn.q.weight
+        assert weight.shape == (8, 8) and weight.size == 64 and weight.ndim == 2
+        assert weight.dtype == np.float32
+        assert net.parameter_count() > 10_000
+        net.zero_grad()
+        assert_fresh_generator(net, 4)
+        assert np.isfinite(weight.data).all()
+        assert net._store.rng.bit_generator.state != np.random.default_rng(4).bit_generator.state
+
+
 class TestCheckpointIO:
     def test_roundtrip_same_logits(self, tmp_path):
         net = small_net(seed=0)
@@ -320,3 +389,10 @@ class TestCheckpointIO:
         save_checkpoint(path, arrays)
         with pytest.raises(CheckpointError):
             net.load(path)
+
+    def test_last_payload_one_byte_short(self, tmp_path):
+        path = tmp_path / "net.ckpt"
+        small_net().save(path)
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path)
