@@ -6,6 +6,14 @@ stages of spatial-reduction attention + depthwise Mix-FFN blocks at
 resolutions 1/4 .. 1/32, a combined spatial + channel attention gate on
 the deepest features, and a transpose-conv decoder that fuses the skip
 pyramid back to full-resolution class logits.
+
+Memory at inference is kept near the size of the input. Attention runs
+its queries in chunks of at most `_QUERY_CHUNK` tokens against the full
+reduced K/V, which gives the unchunked map's rows exactly. The decoder's
+last upsampler and its 1x1 head are one linear map, so they run as one
+transposed conv with `num_classes` outputs whose weight and bias are
+composed from both layers' parameters on every forward; the checkpoint
+keeps both layers.
 """
 
 import math
@@ -28,6 +36,10 @@ from .autodiff import (
     transpose_conv3d,
 )
 from .errors import CheckpointError, ConfigError, ShapeError
+
+# Query tokens per attention chunk. A chunk's map is N x heads x 8192 x
+# L_reduced; a BraTS-size stage-1 map would otherwise be 4 x 163 840 x 320.
+_QUERY_CHUNK = 8192
 
 
 @dataclass
@@ -201,19 +213,31 @@ class _Attention:
         dk = self.channels // self.heads
         return t.reshape(n, t.shape[1], self.heads, dk).permute(0, 2, 1, 3)
 
+    def _weights(self, q, k_t):
+        scale = 1.0 / math.sqrt(self.channels // self.heads)
+        return softmax((q @ k_t) * scale, axis=-1)
+
     def attention_map(self, tokens, grid):
         """Per-head softmax weights (N, heads, L, L_reduced) plus the K/V tokens."""
         kv = self._reduced(tokens, grid)
         q = self._split(self.q(tokens))
-        k = self._split(self.k(kv))
-        scale = 1.0 / math.sqrt(self.channels // self.heads)
-        return softmax((q @ k.permute(0, 1, 3, 2)) * scale, axis=-1), kv
+        return self._weights(q, self._split(self.k(kv)).permute(0, 1, 3, 2)), kv
 
     def __call__(self, tokens, grid):
         n, length, c = tokens.shape
-        attn, kv = self.attention_map(tokens, grid)
+        kv = self._reduced(tokens, grid)
+        q = self._split(self.q(tokens))
+        k_t = self._split(self.k(kv)).permute(0, 1, 3, 2)
         v = self._split(self.v(kv))
-        out = (attn @ v).permute(0, 2, 1, 3).reshape(n, length, c)
+        # Each query row attends on its own, so chunks of rows give the full
+        # map's rows while one chunk's map exists at a time. The chunks are
+        # near-equal, so none is a single row unless the whole is: numpy runs
+        # a one-row product as a matrix-vector BLAS call, whose sums round
+        # differently.
+        count = -(-length // _QUERY_CHUNK)
+        bounds = [length * i // count for i in range(count + 1)]
+        chunks = [self._weights(q[:, :, a:b], k_t) @ v for a, b in zip(bounds, bounds[1:])]
+        out = concat(chunks, axis=2).permute(0, 2, 1, 3).reshape(n, length, c)
         return self.proj(out)
 
 
@@ -312,7 +336,22 @@ class _Decoder:
         x = (x + self.proj2(pyramid[1])).relu()
         x = self.up1(x)
         x = (x + self.proj1(pyramid[0])).relu()
-        return self.head(self.upfinal(x))
+        return self.logits(x)
+
+    def logits(self, x):
+        """head(upfinal(x)) as one transposed conv with num_classes outputs.
+
+        Both maps are linear with nothing between them, so they compose:
+        W'[i, o] = sum_c head[o, c] * up[i, c] and b' = head @ b_up + b_head.
+        The composition is a graph op on the four parameters, so training
+        reaches each of them, and the dc-channel full-grid map never exists.
+        """
+        up, head = self.upfinal.weight, self.head.weight
+        ci, dc, k = up.shape[:3]
+        mix = head.reshape(head.shape[0], dc)
+        weight = (mix @ up.reshape(ci, dc, k**3)).reshape(ci, -1, k, k, k)
+        bias = (mix @ self.upfinal.bias.reshape(dc, 1)).reshape(-1) + self.head.bias
+        return transpose_conv3d(x, weight, bias=bias, stride=self.upfinal.stride)
 
 
 class GliomaForgeNet:
@@ -366,11 +405,12 @@ class GliomaForgeNet:
             missing = sorted(set(self._params) - set(arrays))[:3]
             extra = sorted(set(arrays) - set(self._params))[:3]
             raise CheckpointError(f"parameter names differ (missing {missing}, extra {extra})")
-        for name, p in self._params.items():
+        for name, p in self._params.items():  # all shapes first: no half-loaded model
             if arrays[name].shape != p.shape:
                 raise CheckpointError(
                     f"{name}: checkpoint shape {arrays[name].shape} != model {p.shape}"
                 )
+        for name, p in self._params.items():
             p.data = arrays[name].astype(p.dtype, copy=False)
 
     # -- forward -----------------------------------------------------------

@@ -179,6 +179,29 @@ def suite_autodiff(seed):
             )
 
 
+def decoder_gradcheck(seed):
+    """Gradcheck a float64 decoder w.r.t. upfinal's and head's weights and
+    biases, which reach the logits through one folded transposed conv."""
+    cfg = ModelConfig(**{**SMALL_MODEL, "decoder_channels": 2})
+    decoder = GliomaForgeNet(config=cfg, seed=seed, dtype=np.float64).decoder
+    rng = np.random.default_rng(seed)
+    pyramid = [
+        Tensor(rng.normal(size=(1, c, g, g, g))) for c, g in zip(cfg.stage_channels, (8, 4, 2, 1))
+    ]
+    upstream = Tensor(rng.normal(size=(1, cfg.num_classes, 32, 32, 32)))
+    layers = (decoder.upfinal, decoder.head)
+    slots = [(layer, name) for layer in layers for name in ("weight", "bias")]
+
+    def build(ts):
+        for (layer, name), t in zip(slots, ts):
+            setattr(layer, name, t)
+        return (decoder(pyramid, pyramid[3]) * upstream).sum()
+
+    # random values throughout: the biases start at zero, which would leave
+    # the bias fold's product term unchecked
+    return gradcheck(build, [rng.normal(size=getattr(*slot).shape) for slot in slots])
+
+
 def suite_model_contract(seed):
     model = GliomaForgeNet(config=ModelConfig(**SMALL_MODEL), seed=seed)
     x = Tensor(np.random.default_rng(seed).normal(size=(1, 4, 32, 32, 32)).astype(np.float32))
@@ -204,6 +227,7 @@ def suite_model_contract(seed):
         loaded(x).data.tobytes() == logits.data.tobytes(),
         "logits changed through a checkpoint save and load",
     )
+    decoder_gradcheck(seed)
 
 
 def suite_loss_optimizer(seed):

@@ -1,5 +1,7 @@
 """Tensor ops, gradients, spatial kernels, and the checkpoint format."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -353,6 +355,63 @@ class TestCorrelateAdjoint:
         back = _correlate_adjoint(y, w, stride, grid.shape)
         inner = (slice(None),) * 2 + tuple(slice(padding, padding + s) for s in spatial)
         assert np.sum(fwd * y) == pytest.approx(np.sum(x * back[inner]), rel=1e-12)
+
+
+class TestBlockedCorrelate:
+    """With N == 1 and no columns passed, `_correlate` builds its columns a
+    block of output depth planes at a time. Each block runs the one-shot
+    matmul's rows over fewer columns, and every output column is summed in
+    the same order, so the result is the one-shot im2col's to the bit. The
+    sizes keep every block's matmul above BLAS's small-matrix kernels."""
+
+    @pytest.mark.parametrize(
+        "k, stride, padding, cin, cout, spatial, planes",
+        [
+            (7, 4, 3, 8, 48, (36, 64, 64), 2),  # 9 output planes: blocks 2, 2, 2, 2, 1
+            (3, 2, 1, 48, 96, (16, 32, 32), 3),  # 8 planes: 3, 3, 2
+            (1, 1, 0, 96, 96, (10, 32, 48), 3),  # 10 planes: 3, 3, 3, 1
+        ],
+    )
+    def test_blocks_equal_one_shot_columns(
+        self, monkeypatch, k, stride, padding, cin, cout, spatial, planes
+    ):
+        rng = np.random.default_rng(80 + k)
+        x = rng.normal(size=(1, cin) + spatial).astype(np.float32)
+        grid = np.pad(x, ((0, 0), (0, 0)) + ((padding, padding),) * 3)
+        w = rng.normal(size=(cout, cin, k, k, k)).astype(np.float32)
+        one_shot = _correlate(grid, w, stride, columns=conv_module._im2col(grid, k, stride))
+        do, ho, wo = one_shot.shape[2:]
+        monkeypatch.setattr(
+            conv_module, "_COLUMN_BLOCK_BYTES", planes * cin * k**3 * ho * wo * 4
+        )
+        blocks = []
+
+        def counting(padded, *args):
+            blocks.append(padded.shape[2])
+            return im2col(padded, *args)
+
+        im2col = conv_module._im2col
+        monkeypatch.setattr(conv_module, "_im2col", counting)
+        blocked = _correlate(grid, w, stride)
+        assert len(blocks) == -(-do // planes) > 1
+        assert blocked.dtype == one_shot.dtype and blocked.shape == one_shot.shape
+        assert blocked.tobytes() == one_shot.tobytes()
+
+    def test_conv3d_holds_output_and_two_blocks(self, monkeypatch):
+        # one-shot columns would be 2744 x 1800 floats, 18.8 MiB
+        monkeypatch.setattr(conv_module, "_COLUMN_BLOCK_BYTES", 1 << 20)
+        rng = np.random.default_rng(90)
+        x = Tensor(rng.normal(size=(1, 8, 36, 64, 64)).astype(np.float32))
+        w = Tensor(rng.normal(size=(48, 8, 7, 7, 7)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            out = conv3d(x, w, stride=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = 8 * 7**3 * out.shape[3] * out.shape[4] * 4  # one plane > 1 MiB
+        assert out.shape == (1, 48, 8, 15, 15)
+        assert peak <= out.data.nbytes + 2 * block
 
 
 class TestTransposeConv3d:

@@ -9,6 +9,7 @@ from gliomaforge import model as model_module
 from gliomaforge.autodiff import Tensor, load_checkpoint, no_grad
 from gliomaforge.errors import CheckpointError, ConfigError, ShapeError
 from gliomaforge.model import GliomaForgeNet, ModelConfig, _Attention, _Store, _to_tokens
+from gliomaforge.selftest import decoder_gradcheck
 
 SMALL = dict(
     stage_channels=[8, 16, 32, 64],
@@ -156,6 +157,37 @@ class TestAttention:
         assert weights.shape[-1] == 1
 
 
+class TestChunkedAttention:
+    """Queries run in chunks of at most `_QUERY_CHUNK` rows against the full K/V.
+    Each row of the map depends on its own query alone, so the output is
+    the unchunked map's, byte for byte."""
+
+    @pytest.mark.parametrize("length", [7, 8, 9, 29])  # chunk-1, chunk, chunk+1, 3*chunk+5
+    def test_equals_unchunked_map(self, monkeypatch, length):
+        monkeypatch.setattr(model_module, "_QUERY_CHUNK", 8)
+        maps = []
+
+        def counting(x, axis=-1):
+            maps.append(x.shape[2])
+            return softmax(x, axis=axis)
+
+        softmax = model_module.softmax
+        monkeypatch.setattr(model_module, "softmax", counting)
+        store = _Store(21, np.float32)
+        attn = _Attention(store, "a", channels=16, heads=2, sr_ratio=1)
+        rng = np.random.default_rng(22)
+        tokens = Tensor(rng.normal(size=(2, length, 16)).astype(np.float32))
+        grid = (length, 1, 1)
+        with no_grad():
+            chunked = attn(tokens, grid)
+            assert len(maps) == -(-length // 8) and max(maps) <= 8 and sum(maps) == length
+            weights, kv = attn.attention_map(tokens, grid)
+            full = (weights @ attn._split(attn.v(kv))).permute(0, 2, 1, 3)
+            ref = attn.proj(full.reshape(2, length, 16))
+        assert weights.shape == (2, 2, length, length)
+        assert chunked.data.tobytes() == ref.data.tobytes()
+
+
 class TestMixFFN:
     def test_zero_second_linear_gives_zero(self):
         net = small_net()
@@ -293,6 +325,26 @@ class TestGradients:
         assert worst < 1e-3
 
 
+class TestHeadFold:
+    """The decoder runs head(upfinal(x)) as one transposed conv whose weight
+    and bias are composed from the two layers' parameters."""
+
+    def test_equals_unfused_head_of_upfinal(self):
+        net = small_net(dtype=np.float64)
+        dec = net.decoder
+        rng = np.random.default_rng(23)
+        for p in (dec.upfinal.bias, dec.head.bias):  # zero at init
+            p.data = rng.normal(size=p.shape)
+        x = Tensor(rng.normal(size=(1, 8, 3, 4, 2)))
+        fused = dec.logits(x).data
+        unfused = dec.head(dec.upfinal(x)).data
+        assert fused.shape == unfused.shape == (1, 4, 12, 16, 8)
+        np.testing.assert_allclose(fused, unfused, rtol=1e-12, atol=1e-12 * np.abs(unfused).max())
+
+    def test_decoder_gradcheck_reaches_upfinal_and_head(self):
+        assert decoder_gradcheck(seed=3) < 1e-4
+
+
 class TestParameters:
     def test_count_stable(self):
         a = small_net(seed=0)
@@ -389,6 +441,22 @@ class TestCheckpointIO:
         save_checkpoint(path, arrays)
         with pytest.raises(CheckpointError):
             net.load(path)
+
+    def test_failed_load_changes_no_weight(self, tmp_path):
+        # the bad record is the last one, so every other record would be
+        # assigned before its shape is found wrong
+        arrays = {name: p.data for name, p in small_net(seed=0).named_parameters().items()}
+        arrays["decoder.head.bias"] = np.zeros(7, dtype=np.float32)
+        from gliomaforge.autodiff import save_checkpoint
+
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(path, arrays)
+        net = small_net(seed=2)
+        before = {name: p.data.tobytes() for name, p in net.named_parameters().items()}
+        with pytest.raises(CheckpointError, match="decoder.head.bias"):
+            net.load(path)
+        after = {name: p.data.tobytes() for name, p in net.named_parameters().items()}
+        assert after == before
 
     def test_last_payload_one_byte_short(self, tmp_path):
         path = tmp_path / "net.ckpt"
