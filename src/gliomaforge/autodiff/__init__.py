@@ -5,6 +5,7 @@ from .conv import (
     channel_avg,
     channel_max,
     conv3d,
+    depthwise_conv3d_tokens,
     global_avg_pool,
     transpose_conv3d,
     trilinear_resize,
@@ -20,6 +21,7 @@ __all__ = [
     "channel_max",
     "concat",
     "conv3d",
+    "depthwise_conv3d_tokens",
     "global_avg_pool",
     "gradcheck",
     "layer_norm",

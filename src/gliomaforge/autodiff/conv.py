@@ -20,13 +20,23 @@ kernels run both ops, forward and backward:
   tconv's backward the grid is the upstream gradient, whose column matrix
   is made once for both of its gradients.
 
-Depthwise convs (groups == C == O), the only other grouping conv3d runs,
-build no column matrix, which would hold k^3 copies of the input. The
-forward sums the k^3 shifted windows tap by tap, each times that tap's
-per-channel weight, in blocks of (N*C) rows and output depth planes so
-that the running sum and its one temporary stay in cache. Backward adds
-g times each tap's weight into that tap's window of the padded grid, and
-reduces g times each window into that tap's weight gradient.
+Depthwise convs build no column matrix, which would hold k^3 copies of
+the input. One tap kernel, `_depthwise`, runs them on a channels-last
+(B, Dp, Hp, Wp, C) grid: it writes tap 0 and multiplies and adds the
+others in (a, b, q) order, in blocks of B and output depth planes so that
+the running sum and its one temporary stay in cache. Two layouts call it:
+
+- `conv3d` with groups == C == O (the stem) views its channels-first
+  input as B = N*C grids of one channel, each with its own taps.
+- `depthwise_conv3d_tokens` (the Mix-FFN) views tokens (N, L, C) as
+  (N, D, H, W, C) grids sharing one set of taps, so no permute copy is
+  made either way.
+
+The input gradient is the same kernel run over the upstream gradient,
+zero-stuffed between strides and zero-padded, with the taps flipped but
+visited in their forward order, so each voxel sums its terms in the order
+of a scatter into a zeroed grid. The weight gradient is one reduction over
+the spatial axes per tap.
 """
 
 import numpy as np
@@ -56,11 +66,14 @@ def _im2col(padded, k, stride):
     return cols, out_spatial
 
 
-def _windows(k, stride, out_spatial, start=0):
+def _windows(k, stride, out_spatial, start=0, flip=False):
     """Per kernel offset (a, b, q), row-major: the (D, H, W) slices of the
-    padded grid its window covers, for output depth planes from `start`."""
+    padded grid its window covers, for output depth planes from `start`;
+    with `flip`, offset (a, b, q) covers the window of (k-1-a, k-1-b, k-1-q)."""
     do, ho, wo = out_spatial
     for a, b, q in np.ndindex(k, k, k):
+        if flip:
+            a, b, q = k - 1 - a, k - 1 - b, k - 1 - q
         yield (
             slice(a + start * stride, a + (start + do - 1) * stride + 1, stride),
             slice(b, b + (ho - 1) * stride + 1, stride),
@@ -124,31 +137,60 @@ def _correlate_weight_grad(grid, small, k, stride, columns=None):
     return dw.reshape(s, grid.shape[1], k, k, k)
 
 
-def _depthwise(rows, taps, k, stride, out_spatial):
-    """Depthwise forward on (R, Dp, Hp, Wp) rows with (R, k^3) tap weights."""
-    r = rows.shape[0]
+def _depthwise(grid, taps, k, stride, out_spatial, flip=False):
+    """Depthwise taps over a channels-last (B, Dp, Hp, Wp, C) grid with
+    (B or 1, k^3, C) weights -> (B, do, ho, wo, C); `flip` as in `_windows`."""
+    b, c = grid.shape[0], grid.shape[-1]
     do, ho, wo = out_spatial
-    plane = ho * wo
+    plane = ho * wo * c
     if do * plane <= _DEPTHWISE_BLOCK:
-        rb, zb = _DEPTHWISE_BLOCK // (do * plane), do
+        bb, zb = _DEPTHWISE_BLOCK // (do * plane), do
     else:
-        rb, zb = 1, max(1, _DEPTHWISE_BLOCK // plane)
-    out = np.empty((r, do, ho, wo), dtype=np.result_type(rows, taps))
-    tmp = np.empty((min(rb, r), min(zb, do), ho, wo), dtype=out.dtype)
-    for r0 in range(0, r, rb):
+        bb, zb = 1, max(1, _DEPTHWISE_BLOCK // plane)
+    out = np.empty((b, do, ho, wo, c), dtype=np.result_type(grid, taps))
+    tmp = np.empty((min(bb, b), min(zb, do), ho, wo, c), dtype=out.dtype)
+    for b0 in range(0, b, bb):
+        weights = (taps if len(taps) == 1 else taps[b0 : b0 + bb])[:, :, None, None, None]
         for z0 in range(0, do, zb):
-            acc = out[r0 : r0 + rb, z0 : z0 + zb]
+            acc = out[b0 : b0 + bb, z0 : z0 + zb]
             part = tmp[: acc.shape[0], : acc.shape[1]]
-            weights = taps[r0 : r0 + rb, :, None, None, None]
             spatial = (acc.shape[1], ho, wo)
-            for tap, window in enumerate(_windows(k, stride, spatial, z0)):
-                win = rows[(slice(r0, r0 + rb),) + window]
+            for tap, window in enumerate(_windows(k, stride, spatial, z0, flip)):
+                win = grid[(slice(b0, b0 + bb),) + window]
                 if tap == 0:
                     np.multiply(win, weights[:, tap], out=acc)
                 else:
                     np.multiply(win, weights[:, tap], out=part)
                     acc += part
     return out
+
+
+def _depthwise_grads(grid, taps, g, k, stride, padding, need_grid, need_taps):
+    """Gradients of `_depthwise` under upstream g (B, do, ho, wo, C): of the
+    grid with its `padding` cropped, and of the taps (None where not needed)."""
+    dgrid = dtaps = None
+    if need_grid:
+        # output o's gradient sits at k-1-padding + o*stride in a zero grid
+        # whose flipped tap sums land on the unpadded input; outputs whose
+        # windows read only padding fall outside it
+        spatial = tuple(s - 2 * padding for s in grid.shape[1:4])
+        stuffed = np.zeros((len(g), *(s + k - 1 for s in spatial), g.shape[-1]), dtype=g.dtype)
+        lo = k - 1 - padding
+        src, dst = [slice(None)], [slice(None)]
+        for o, s in zip(g.shape[1:4], spatial):
+            first, last = max(0, -(lo // stride)), min(o, (s - 1 + padding) // stride + 1)
+            src.append(slice(first, last))
+            dst.append(slice(lo + first * stride, lo + (last - 1) * stride + 1, stride))
+        stuffed[tuple(dst)] = g[tuple(src)]
+        dgrid = _depthwise(stuffed, taps, k, 1, spatial, flip=True)
+    if need_taps:
+        spec = "nzyxc,nzyxc->c" if len(taps) == 1 else "nzyxc,nzyxc->nc"
+        sums = [
+            np.einsum(spec, g, grid[(slice(None),) + window])
+            for window in _windows(k, stride, g.shape[1:4])
+        ]
+        dtaps = np.stack(sums, axis=-2).reshape(taps.shape)
+    return dgrid, dtaps
 
 
 def _require_rank5(x, op):
@@ -180,56 +222,81 @@ def conv3d(x, w, bias=None, stride=1, padding=0, groups=1):
     padded = np.pad(x.data, pad) if padding else x.data
     if depthwise:
         out_spatial = tuple((s - k) // stride + 1 for s in padded.shape[2:])
-        rows = padded.reshape(n * c, *padded.shape[2:])
-        taps = np.tile(w.data.reshape(c, k**3), (n, 1))
+        rows = padded.reshape(n * c, *padded.shape[2:], 1)
+        taps = np.tile(w.data.reshape(c, k**3), (n, 1))[:, :, None]
         out = _depthwise(rows, taps, k, stride, out_spatial).reshape(n, o, *out_spatial)
     else:
         out = _correlate(padded, w.data, stride)
-        out_spatial = out.shape[2:]
     if bias is not None:
         out += bias.data.reshape(1, o, 1, 1, 1)
 
     parents = (x, w) if bias is None else (x, w, bias)
 
     def depthwise_backward(g):
-        length = int(np.prod(out_spatial))
-        g_rows = g.reshape(n * c, *out_spatial)
-        part = np.empty_like(g_rows)
-        if x.requires_grad:
-            dpad = np.zeros(padded.shape, dtype=g.dtype)
-            d_rows = dpad.reshape(rows.shape)
-        if w.requires_grad:
-            dw = np.empty((n * c, k**3), dtype=g.dtype)
-        for tap, window in enumerate(_windows(k, stride, out_spatial)):
-            window = (slice(None),) + window
-            if w.requires_grad:
-                np.multiply(g_rows, rows[window], out=part)
-                dw[:, tap] = part.reshape(n * c, length).sum(axis=1)
-            if x.requires_grad:
-                np.multiply(g_rows, taps[:, tap, None, None, None], out=part)
-                d_rows[window] += part
-        if w.requires_grad:
-            _accumulate(w, dw.reshape(n, c, k**3).sum(axis=0).reshape(w.shape))
-        return dpad if x.requires_grad else None
+        g_rows = g.reshape(n * c, *g.shape[2:], 1)
+        dx, dtaps = _depthwise_grads(
+            rows, taps, g_rows, k, stride, padding, x.requires_grad, w.requires_grad
+        )
+        if dtaps is not None:
+            _accumulate(w, dtaps.reshape(n, c, k**3).sum(axis=0).reshape(w.shape))
+        return None if dx is None else dx.reshape(x.shape)
 
     def dense_backward(g):
         if w.requires_grad:
             _accumulate(w, _correlate_weight_grad(padded, g, k, stride))
-        if x.requires_grad:
-            return _correlate_adjoint(g, w.data, stride, padded.shape)
-        return None
+        if not x.requires_grad:
+            return None
+        dpad = _correlate_adjoint(g, w.data, stride, padded.shape)
+        if padding:
+            dpad = dpad[:, :, padding:-padding, padding:-padding, padding:-padding]
+        return dpad
 
     def backward_fn(g):
         if w.requires_grad or x.requires_grad:
-            dpad = (depthwise_backward if depthwise else dense_backward)(g)
-            if dpad is not None:
-                if padding:
-                    dpad = dpad[:, :, padding:-padding, padding:-padding, padding:-padding]
-                _accumulate(x, dpad)
+            dx = (depthwise_backward if depthwise else dense_backward)(g)
+            if dx is not None:
+                _accumulate(x, dx)
         if bias is not None:
             _accumulate(bias, g.sum(axis=(0, 2, 3, 4)))
 
     return Tensor._from_op(out, parents, backward_fn)
+
+
+def depthwise_conv3d_tokens(tokens, grid, w, bias=None):
+    """Stride-1 depthwise conv, padded to keep the grid, on tokens (N, L, C)
+    of a D x H x W `grid`, read channels last: (C, 1, k, k, k) weights with
+    k odd -> tokens of the same shape."""
+    if tokens.ndim != 3 or tokens.shape[1] != int(np.prod(grid)):
+        raise ShapeError(f"expected N x L x C tokens of a {tuple(grid)} grid, got {tokens.shape}")
+    n, length, c = tokens.shape
+    k = w.shape[-1]
+    if w.shape != (c, 1, k, k, k) or k % 2 == 0:
+        raise ShapeError(f"expected {c} x 1 x k x k x k weights with k odd, got {w.shape}")
+    if bias is not None and bias.shape != (c,):
+        raise ShapeError(f"bias shape {bias.shape} != ({c},)")
+    grid, p = tuple(grid), k // 2
+    padded = np.pad(tokens.data.reshape(n, *grid, c), ((0, 0),) + ((p, p),) * 3 + ((0, 0),))
+    taps = np.ascontiguousarray(w.data.reshape(c, k**3).T)[None]
+    out = _depthwise(padded, taps, k, 1, grid)
+    if bias is not None:
+        out += bias.data
+
+    parents = (tokens, w) if bias is None else (tokens, w, bias)
+
+    def backward_fn(g):
+        if tokens.requires_grad or w.requires_grad:
+            dx, dtaps = _depthwise_grads(
+                padded, taps, g.reshape(n, *grid, c), k, 1, p, tokens.requires_grad,
+                w.requires_grad,
+            )
+            if dtaps is not None:
+                _accumulate(w, dtaps[0].T.reshape(w.shape))
+            if dx is not None:
+                _accumulate(tokens, dx.reshape(tokens.shape))
+        if bias is not None:
+            _accumulate(bias, g.sum(axis=(0, 1)))
+
+    return Tensor._from_op(out.reshape(n, length, c), parents, backward_fn)
 
 
 def transpose_conv3d(x, w, bias=None, stride=1):

@@ -14,6 +14,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
+from functools import partial
 from itertools import chain, groupby
 from operator import itemgetter
 from pathlib import Path
@@ -23,8 +24,13 @@ import numpy as np
 from . import config as cfgmod
 from .errors import ConfigError, GliomaForgeError, PairingError
 from .harmonize import build_cdf, match_histogram, zscore_normalize
-from .metrics import evaluate as evaluate_dirs
-from .metrics import keep_largest_per_class, write_metrics_csv
+from .metrics import (
+    evaluate_pair,
+    keep_largest_per_class,
+    mask_pairs,
+    summarize,
+    write_metrics_csv,
+)
 from .model import GliomaForgeNet
 from .nifti import (
     MODALITIES,
@@ -372,9 +378,9 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    results, summary = evaluate_dirs(
-        args.pred, args.gt, postprocess=not args.no_postprocess
-    )
+    work = partial(evaluate_pair, postprocess=not args.no_postprocess)
+    results = list(_map_cases(work, mask_pairs(args.pred, args.gt), args.jobs))
+    summary = summarize(results)
     with atomic_output(args.out) as tmp:
         write_metrics_csv(tmp, results, summary)
     for region in ("WT", "TC", "ET"):
@@ -453,7 +459,7 @@ def build_parser() -> _Parser:
     p.add_argument("--gt", required=True, help="reference mask directory")
     p.add_argument("--out", required=True, help="output metrics CSV")
     p.add_argument("--no-postprocess", action="store_true", help="skip component filtering")
-    p.add_argument("--jobs", type=int, default=1, help="accepted for symmetry; evaluation is fast")
+    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
 
     add("selftest", cmd_selftest, "run the built-in property suites")
     return parser

@@ -239,20 +239,33 @@ def summarize(results: list[CaseMetrics]) -> dict[str, dict[str, tuple[float, fl
     return summary
 
 
-def evaluate(pred_dir, gt_dir, postprocess: bool = True) -> tuple[list[CaseMetrics], dict]:
-    """Evaluate every reference case against its matched prediction file.
+def mask_pairs(pred_dir, gt_dir) -> list[tuple[str, Path, Path]]:
+    """(case id, prediction path, reference path) for every reference case,
+    in case order; a reference case without a prediction raises.
 
     Either directory may hold ``<id>-seg`` or bare ``<id>`` masks.
     """
     pred_dir, gt_dir = Path(pred_dir), Path(gt_dir)
-    results = []
+    pairs = []
     for case_id in list_mask_ids(gt_dir):
         pred_path = _find_file(pred_dir, case_id, f"{case_id}-seg")
         if pred_path is None:
             raise PairingError(f"no prediction found for case {case_id!r} in {pred_dir}")
-        pred = load_mask(pred_path)
-        gt = load_mask(_find_file(gt_dir, case_id, f"{case_id}-seg"))
-        results.append(evaluate_case(pred, gt, case_id=case_id, postprocess=postprocess))
+        pairs.append((case_id, pred_path, _find_file(gt_dir, case_id, f"{case_id}-seg")))
+    return pairs
+
+
+def evaluate_pair(pair, postprocess: bool = True) -> CaseMetrics:
+    """`evaluate_case` on one `mask_pairs` entry, read from disk."""
+    case_id, pred_path, gt_path = pair
+    return evaluate_case(
+        load_mask(pred_path), load_mask(gt_path), case_id=case_id, postprocess=postprocess
+    )
+
+
+def evaluate(pred_dir, gt_dir, postprocess: bool = True) -> tuple[list[CaseMetrics], dict]:
+    """Evaluate every reference case against its matched prediction file."""
+    results = [evaluate_pair(pair, postprocess) for pair in mask_pairs(pred_dir, gt_dir)]
     return results, summarize(results)
 
 

@@ -28,6 +28,7 @@ from .autodiff import (
     channel_max,
     concat,
     conv3d,
+    depthwise_conv3d_tokens,
     global_avg_pool,
     layer_norm,
     load_checkpoint,
@@ -242,17 +243,19 @@ class _Attention:
 
 
 class _MixFFN:
-    """Pointwise expand, depthwise 3^3 conv on the grid, GELU, project back."""
+    """Pointwise expand, depthwise 3^3 conv over the grid, GELU, project back.
+    The conv reads the tokens channels last, so they are never permuted."""
 
     def __init__(self, store, name, channels, expansion):
         hidden = channels * expansion
         self.fc1 = _Linear(store, f"{name}.fc1", channels, hidden)
-        self.dw = _Conv(store, f"{name}.dw", hidden, hidden, 3, padding=1, groups=hidden)
+        self.dw_weight = store.kaiming(f"{name}.dw.weight", (hidden, 1, 3, 3, 3), 3**3)
+        self.dw_bias = store.constant(f"{name}.dw.bias", (hidden,), 0.0)
         self.fc2 = _Linear(store, f"{name}.fc2", hidden, channels)
 
     def __call__(self, tokens, grid):
-        x = _to_grid(self.fc1(tokens), grid)
-        return self.fc2(_to_tokens(self.dw(x)).gelu())
+        hidden = depthwise_conv3d_tokens(self.fc1(tokens), grid, self.dw_weight, self.dw_bias)
+        return self.fc2(hidden.gelu())
 
 
 class _Block:

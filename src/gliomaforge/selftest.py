@@ -13,11 +13,11 @@ import traceback
 
 import numpy as np
 
-from .autodiff import Parameter, Tensor, conv3d, transpose_conv3d
+from .autodiff import Parameter, Tensor, conv3d, depthwise_conv3d_tokens, transpose_conv3d
 from .autodiff.gradcheck import gradcheck
 from .harmonize import build_cdf, ks_statistic, match_histogram
 from .metrics import _boundary, connected_components, dice, hd95, keep_largest_per_class
-from .model import GliomaForgeNet, ModelConfig
+from .model import GliomaForgeNet, ModelConfig, _to_grid, _to_tokens
 from .nifti import (
     DEFAULT_VOX_OFFSET,
     SegmentationMask,
@@ -228,6 +228,29 @@ def suite_model_contract(seed):
         "logits changed through a checkpoint save and load",
     )
     decoder_gradcheck(seed)
+    # Mix-FFN runs the depthwise kernel on its tokens, channels last; conv3d
+    # on the permuted grid runs it channels first, with the same sums
+    rng = np.random.default_rng(seed)
+    grid = (3, 5, 2)
+    t = rng.normal(size=(2, 30, 4)).astype(np.float32)
+    w = rng.normal(size=(4, 1, 3, 3, 3)).astype(np.float32)
+    upstream = Tensor(rng.normal(size=t.shape).astype(np.float32))
+    runs = []
+    for op in (
+        lambda x, w: depthwise_conv3d_tokens(x, grid, w),
+        lambda x, w: _to_tokens(conv3d(_to_grid(x, grid), w, padding=1, groups=4)),
+    ):
+        xt, wt = Tensor(t, requires_grad=True), Tensor(w, requires_grad=True)
+        out = op(xt, wt)
+        (out * upstream).sum().backward()
+        runs.append((out.data, xt.grad, wt.grad))
+    (out, dx, dw), (ref, ref_dx, ref_dw) = runs
+    _check(out.tobytes() == ref.tobytes(), "depthwise token conv forward != conv3d on the grid")
+    _check(dx.tobytes() == ref_dx.tobytes(), "depthwise token conv input grad != conv3d's")
+    _check(
+        np.allclose(dw, ref_dw, rtol=1e-5, atol=1e-5 * np.abs(ref_dw).max()),
+        "depthwise token conv weight grad != conv3d's",
+    )
 
 
 def suite_loss_optimizer(seed):

@@ -739,6 +739,21 @@ class TestEvaluateCommand:
         assert len(per_case) == 4 * 3
         assert all(r["dice"] == 1.0 and r["hd95"] == 0.0 for r in per_case)
 
+    def test_parallel_jobs_write_the_same_csv(self, workspace, tmp_path):
+        # shifted predictions, so every metric is a nontrivial float
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        for f in workspace["raw"].glob("*-seg.nii"):
+            labels = np.roll(load_mask(f).labels, 2, axis=0)
+            nifti.save_mask(pred / f.name, nifti.SegmentationMask(labels=labels))
+        outs = [tmp_path / "m1.csv", tmp_path / "m2.csv"]
+        for jobs, out in zip(("1", "2"), outs):
+            rc = main(["evaluate", "--pred", str(pred), "--gt", str(workspace["raw"]),
+                       "--out", str(out), "--jobs", jobs])
+            assert rc == EXIT_OK
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert len(read_metrics_csv(outs[0])) == 4 * 3 + 2 * 3
+
     def test_missing_predictions_is_data_error(self, workspace, tmp_path):
         (tmp_path / "pred").mkdir()
         rc = main(["evaluate", "--pred", str(tmp_path / "pred"),

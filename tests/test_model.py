@@ -1,14 +1,23 @@
 """Network architecture: stem, encoder, attention gates, decoder."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gliomaforge import model as model_module
 from gliomaforge.autodiff import Tensor, load_checkpoint, no_grad
+from gliomaforge.autodiff import conv as conv_module
 from gliomaforge.errors import CheckpointError, ConfigError, ShapeError
-from gliomaforge.model import GliomaForgeNet, ModelConfig, _Attention, _Store, _to_tokens
+from gliomaforge.model import (
+    GliomaForgeNet,
+    ModelConfig,
+    _Attention,
+    _MixFFN,
+    _Store,
+    _to_tokens,
+)
 from gliomaforge.selftest import decoder_gradcheck
 
 SMALL = dict(
@@ -361,6 +370,39 @@ class TestParameters:
         x = rng.normal(size=(2, 3, 2, 2, 2)).astype(np.float32)
         tokens = _to_tokens(Tensor(x))
         assert tokens.shape == (2, 8, 3)
+
+
+def traced(fn):
+    """fn()'s result, and the bytes it left allocated and at most allocated."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, current, peak
+
+
+class TestMixFFNMemory:
+    def test_forward_holds_one_padded_copy(self, monkeypatch):
+        # A training forward keeps fc1's arrays, one padded copy and the conv
+        # output, then makes GELU's and fc2's; the tap kernel adds one block
+        # temporary while it runs. Any copy of the 96 KiB hidden tokens in
+        # another layout would not fit.
+        monkeypatch.setattr(conv_module, "_DEPTHWISE_BLOCK", 1 << 12)
+        grid, channels, hidden = (8, 8, 6), 16, 64
+        ffn = _MixFFN(_Store(0, np.float32), "ffn", channels, 4)
+        rng = np.random.default_rng(17)
+        tokens = Tensor(rng.normal(size=(1, 384, channels)).astype(np.float32), requires_grad=True)
+        ffn(tokens, grid)  # draws the weights and imports GELU's erf
+        _, _, whole = traced(lambda: ffn(tokens, grid))
+        fc1_out, fc1, _ = traced(lambda: ffn.fc1(tokens))
+        conv_out = Tensor(fc1_out.data.copy(), requires_grad=True)
+        _, _, gelu_fc2 = traced(lambda: ffn.fc2(conv_out.gelu()))
+        padded = 10 * 10 * 8 * hidden * 4
+        block = 8 * 6 * hidden * 4  # one output depth plane, > 4096 elements
+        assert conv_out.data.nbytes == 96 << 10
+        assert whole <= fc1 + padded + conv_out.data.nbytes + block + gelu_fc2 + (16 << 10)
 
 
 class TestDeferredDraw:
