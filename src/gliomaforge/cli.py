@@ -13,9 +13,9 @@ import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from functools import partial
-from itertools import chain, groupby
+from itertools import chain, groupby, islice
 from operator import itemgetter
 from pathlib import Path
 
@@ -36,7 +36,7 @@ from .nifti import (
     MODALITIES,
     MultiModalCase,
     SegmentationMask,
-    _find_file,
+    case_paths,
     iter_case_files,
     list_case_ids,
     load_case,
@@ -141,22 +141,21 @@ def _reference_cdfs(files):
     return {mod: build_cdf(np.concatenate(chunks)) for mod, chunks in pooled.items()}
 
 
-def _case_files(directory, case_ids=None):
-    """The `iter_case_files` stream of `case_ids`, or of every case, in `directory`."""
-    return iter_case_files([(directory, cid) for cid in case_ids or list_case_ids(directory)])
+def _case_paths(directory):
+    """The `case_paths` of every case in `directory`."""
+    return case_paths([(directory, cid) for cid in list_case_ids(directory)])
 
 
-def _harmonize_cases(task):
-    """Match and write each file of a list of cases as it arrives, while the
-    next one is read, and yield each case id once its files are in place.
-    A case's files are renamed into place together when the next case
-    starts or the stream ends, so a file that fails to read or match leaves
-    none of its case behind. Errors name the file."""
-    in_dir, out_dir, case_ids, cdfs, quantiles, compress = task
+def _harmonize_cases(paths, files, out_dir, cdfs, quantiles, compress):
+    """Match and write each file of `files`, the `iter_case_files` stream of
+    `paths`, as it arrives, and yield each case id once its files are in
+    place. A case's files are renamed into place together when the next
+    case starts or the stream ends, so a file that fails to read or match
+    leaves none of its case behind. Errors name the file."""
     ext = ".nii.gz" if compress else ".nii"
-    for case_id, files in groupby(read_ahead(_case_files(in_dir, case_ids)), itemgetter(0)):
+    for case_id, case in groupby(zip(paths, files), lambda pair: pair[0][0]):
         with atomic_outputs() as stage:
-            for _, name, item in files:
+            for (_, name, path), (_, _, item) in case:
                 tmp = stage(Path(out_dir) / f"{case_id}-{name}{ext}")
                 if name == "seg":
                     save_mask(tmp, item)
@@ -164,31 +163,42 @@ def _harmonize_cases(task):
                 try:
                     item = match_histogram(item, cdfs[name], quantiles=quantiles)
                 except GliomaForgeError as err:
-                    path = _find_file(Path(in_dir), f"{case_id}-{name}")
                     raise type(err)(f"{path}: {err}") from err
                 save_volume(tmp, item)
         yield case_id
 
 
 def _harmonize_task(task):
-    return list(_harmonize_cases(task))
+    """`_harmonize_cases` on one case's paths, read ahead on a thread."""
+    paths, *rest = task
+    with closing(read_ahead(iter_case_files(paths))) as files:
+        return list(_harmonize_cases(paths, files, *rest))
 
 
 def cmd_harmonize(args) -> int:
     config = _load_config(args)
     quantiles = cfgmod.option(args.quantiles, config, "quantiles", DEFAULT_QUANTILES)
-    ids = list_case_ids(args.in_dir)
-    cdfs = _reference_cdfs(read_ahead(_case_files(args.ref_dir)))
-    Path(args.out).mkdir(parents=True, exist_ok=True)
-    # one stream over every case, so read-ahead crosses case boundaries;
-    # with --jobs N, one task per case, scheduled as workers come free
-    groups = [[cid] for cid in ids] if args.jobs > 1 else [ids]
-    tasks = [(args.in_dir, args.out, group, cdfs, quantiles, args.compress) for group in groups]
-    # each case is reported once its files, and those of every case before
-    # it, are in place
-    work = _harmonize_task if args.jobs > 1 else _harmonize_cases
-    for case_id in chain.from_iterable(_map_cases(work, tasks, args.jobs)):
-        print(f"harmonized {case_id}", flush=True)
+    # every file is found before the first is read, so a missing one fails
+    # before any work is done
+    ref_paths, in_paths = _case_paths(args.ref_dir), _case_paths(args.in_dir)
+    # --jobs 1 reads the reference and the inputs as one stream, so the
+    # reader decodes the first input while the CDFs are built
+    paths = ref_paths + in_paths if args.jobs == 1 else ref_paths
+    with closing(read_ahead(iter_case_files(paths))) as files:
+        cdfs = _reference_cdfs(islice(files, len(ref_paths)))
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+        rest = (args.out, cdfs, quantiles, args.compress)
+        if args.jobs == 1:
+            done = _harmonize_cases(in_paths, files, *rest)
+        else:
+            files.close()  # join the reader thread before the workers start
+            # one task per case, scheduled as workers come free
+            tasks = [(list(case), *rest) for _, case in groupby(in_paths, itemgetter(0))]
+            done = chain.from_iterable(_map_cases(_harmonize_task, tasks, args.jobs))
+        # each case is reported once its files, and those of every case
+        # before it, are in place
+        for case_id in done:
+            print(f"harmonized {case_id}", flush=True)
     return EXIT_OK
 
 
@@ -364,7 +374,7 @@ def cmd_predict(args) -> int:
         )
     case = load_case(args.in_dir, ids[0])
     # no read_ahead: a reader thread raised predict's peak RSS
-    cdfs = _reference_cdfs(_case_files(args.ref_dir)) if args.ref_dir else None
+    cdfs = _reference_cdfs(iter_case_files(_case_paths(args.ref_dir))) if args.ref_dir else None
     mask = predict_case(
         model, case, ref_cdfs=cdfs, quantiles=quantiles, postprocess=not args.no_postprocess
     )

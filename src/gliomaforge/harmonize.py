@@ -20,6 +20,12 @@ import numpy as np
 from .errors import ConfigError, DegenerateInputError, EmptyForegroundError
 from .nifti import Volume
 
+# `HarmonizationMapping.apply` looks a value's knot interval up in a table of
+# this many uniform bins over the knots, `_INTERP_CHUNK` values at a time,
+# so its lookups and temporaries stay in cache.
+_INTERP_BINS = 1 << 16
+_INTERP_CHUNK = 1 << 14
+
 
 @dataclass(frozen=True)
 class EmpiricalCDF:
@@ -47,12 +53,22 @@ class EmpiricalCDF:
         return (left + 0.5 * (right - left)) / self.n
 
     def quantile(self, level) -> np.ndarray:
-        """Inverse CDF via linear interpolation of the plotting positions.
+        """Inverse CDF via linear interpolation of the plotting positions:
+        ``np.interp(level, (np.arange(n) + 0.5) / n, values)``, bit for bit.
 
         Levels below (0.5 / n) or above (1 - 0.5 / n) clamp to min/max.
         """
-        positions = (np.arange(self.n) + 0.5) / self.n
-        return np.interp(np.asarray(level, dtype=np.float64), positions, self.values)
+        level = np.asarray(level, dtype=np.float64)
+        n = self.n
+        # Position i = (i + 0.5) / n is at most `level` for i < g and above it
+        # for i > g + 1, g = floor(level * n - 0.5), so positions g - 1 ..
+        # g + 2 hold the level's bracket. np.interp over those of every
+        # level, and both ends, finds the brackets and slopes it would find
+        # over all n positions, without building them.
+        g = np.fmin(np.fmax(np.floor(level * n - 0.5), -1.0), n).reshape(-1, 1)
+        window = np.clip(g + np.arange(-1, 3), 0, n - 1).astype(np.intp)
+        idx = np.unique(np.concatenate([window.ravel(), [0, n - 1]]))
+        return np.interp(level, (idx + 0.5) / n, self.values[idx])
 
 
 def build_cdf(values: np.ndarray, mask: np.ndarray | None = None) -> EmpiricalCDF:
@@ -82,7 +98,7 @@ class HarmonizationMapping:
     def __post_init__(self):
         if self.source_knots.size != self.reference_knots.size:
             raise ConfigError("knot arrays must have equal length")
-        if np.any(np.diff(self.source_knots) <= 0):
+        if not np.all(np.diff(self.source_knots) > 0):
             raise ConfigError("source knots must be strictly increasing")
         if np.any(np.diff(self.reference_knots) < 0):
             raise ConfigError("reference knots must be non-decreasing")
@@ -112,10 +128,63 @@ class HarmonizationMapping:
         return cls(source_knots=knots, reference_knots=reference.quantile(levels))
 
     def apply(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if self.source_knots.size == 1:
-            return np.full_like(x, self.reference_knots[0])
-        return np.interp(x, self.source_knots, self.reference_knots)
+        """The mapping at `x`, as float64: ``np.interp(x, source_knots,
+        reference_knots)``, bit for bit.
+
+        A value's bin is floor((x - xp[0]) * scale) over `_INTERP_BINS`
+        uniform bins, and each knot's bin is the same expression. Rounding
+        keeps it monotone, so a bin that holds no knot lies inside one knot
+        interval j, and its values get np.interp's own formula,
+        slopes[j] * (x - xp[j]) + fp[j]. np.interp itself maps the rest:
+        values in a bin that holds a knot, values outside [xp[0], xp[-1]),
+        and non-finite results.
+        """
+        xp, fp = self.source_knots, self.reference_knots
+        x = np.asarray(x)
+        if x.dtype not in (np.float32, np.float64):
+            x = x.astype(np.float64)
+        if xp.size == 1:
+            return np.full(x.shape, fp[0])
+        scale = _INTERP_BINS / (xp[-1] - xp[0])
+        if not np.isfinite(scale):
+            return np.interp(x, xp, fp)
+        n = xp.size
+        knot_bins = np.empty(n, dtype=np.intp)
+        _bins(xp, xp[0], scale, np.empty(n), knot_bins)
+        # table[b]: the interval of bin b, or n - 1, whose slope is NaN, for
+        # a bin that holds a knot or lies at or past the last one
+        table = np.searchsorted(knot_bins, np.arange(_INTERP_BINS + 1), side="right") - 1
+        table[knot_bins] = n - 1
+        table[knot_bins[-1] :] = n - 1
+        slopes = np.append((fp[1:] - fp[:-1]) / (xp[1:] - xp[:-1]), np.nan)
+
+        out = np.empty(x.shape, dtype=np.float64)
+        flat, res = x.reshape(-1), out.reshape(-1)
+        step = _INTERP_CHUNK
+        scratch = (np.empty(step), np.empty(step), np.empty(step, dtype=np.intp),
+                   np.empty(step, dtype=np.intp), np.empty(step, dtype=bool))
+        for start in range(0, flat.size, step):
+            xc, rc = flat[start : start + step], res[start : start + step]
+            t, g, bins, j, finite = (buf[: xc.size] for buf in scratch)
+            _bins(xc, xp[0], scale, t, bins)
+            np.take(table, bins, out=j, mode="clip")
+            np.subtract(xc, np.take(xp, j, out=t, mode="clip"), out=t)
+            t *= np.take(slopes, j, out=g, mode="clip")
+            np.add(t, np.take(fp, j, out=g, mode="clip"), out=rc)
+            if not np.isfinite(rc, out=finite).all():
+                undecided = ~finite
+                rc[undecided] = np.interp(xc[undecided], xp, fp)
+        return out
+
+
+def _bins(x, x0, scale, t, out) -> None:
+    """Write floor((x - x0) * scale), clamped to [0, `_INTERP_BINS`], to the
+    integer array `out`, through the float64 scratch array `t`. NaN goes to 0."""
+    np.subtract(x, x0, out=t)
+    t *= scale
+    np.fmax(t, 0.0, out=t)
+    np.fmin(t, _INTERP_BINS, out=t)
+    np.copyto(out, t, casting="unsafe")
 
 
 def match_histogram(source: Volume, ref_cdf: EmpiricalCDF, quantiles: int = 256) -> Volume:

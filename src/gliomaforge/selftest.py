@@ -15,7 +15,7 @@ import numpy as np
 
 from .autodiff import Parameter, Tensor, conv3d, depthwise_conv3d_tokens, transpose_conv3d
 from .autodiff.gradcheck import gradcheck
-from .harmonize import build_cdf, ks_statistic, match_histogram
+from .harmonize import EmpiricalCDF, HarmonizationMapping, build_cdf, ks_statistic, match_histogram
 from .metrics import _boundary, connected_components, dice, hd95, keep_largest_per_class
 from .model import GliomaForgeNet, ModelConfig, _to_grid, _to_tokens
 from .nifti import (
@@ -81,6 +81,29 @@ def suite_harmonization(seed):
     self_matched = match_histogram(Volume.from_array(ref), ref_cdf)
     err = np.max(np.abs(self_matched.data - ref) / np.maximum(np.abs(ref), 1.0))
     _check(err <= 1e-6, f"self-matching not identity: rel err {err:.2e}")
+
+
+def suite_harmonize_contract(seed):
+    """`HarmonizationMapping.apply` and `EmpiricalCDF.quantile` reproduce
+    np.interp's rounding, not just its values: a numpy whose np.interp
+    rounds differently (one built to fuse multiply-adds, say) fails here."""
+    rng = np.random.default_rng(seed)
+    xp = np.sort(rng.lognormal(3.0, 1.0, size=64))
+    # knots one ulp apart share a table bin
+    xp = np.unique(np.concatenate([xp, np.nextafter(xp[::8], np.inf)]))
+    fp = np.sort(rng.lognormal(4.0, 0.5, size=xp.size))
+    span = xp[-1] - xp[0]
+    x = np.concatenate([rng.uniform(xp[0] - span / 4, xp[-1] + span / 4, size=100_000), xp])
+    got = HarmonizationMapping(source_knots=xp, reference_knots=fp).apply(x)
+    differ = np.count_nonzero(got.view(np.int64) != np.interp(x, xp, fp).view(np.int64))
+    _check(differ == 0, f"table interpolation differs from np.interp at {differ} values")
+    values = np.sort(np.round(rng.normal(size=10_001), 2))  # with ties
+    n = values.size
+    levels = np.concatenate([rng.uniform(-0.1, 1.1, size=1000), (np.arange(0, n, 97) + 0.5) / n])
+    got = EmpiricalCDF(values=values).quantile(levels)
+    want = np.interp(levels, (np.arange(n) + 0.5) / n, values)
+    differ = np.count_nonzero(got.view(np.int64) != want.view(np.int64))
+    _check(differ == 0, f"quantile differs from np.interp at {differ} levels")
 
 
 def suite_radiomics(seed):
@@ -316,6 +339,7 @@ def suite_training_determinism(seed):
 SUITES = (
     ("format-roundtrip", suite_format_roundtrip),
     ("harmonization", suite_harmonization),
+    ("harmonize-contract", suite_harmonize_contract),
     ("radiomics-oracle", suite_radiomics),
     ("stratification", suite_stratification),
     ("autodiff-gradients", suite_autodiff),

@@ -527,6 +527,73 @@ class TestHarmonizeStreaming:
         assert not list(out.glob("synth-001-*"))
         assert not list(out.glob("synth-002-*"))
 
+    @pytest.mark.parametrize("bad", ["ref-000-t1", "ref-001-flair"])
+    def test_truncated_reference_is_a_data_error(self, small_cohort, tmp_path, capsys, bad):
+        ref = tmp_path / "ref"
+        shutil.copytree(small_cohort / ".nii.gz" / "ref", ref)
+        path = ref / f"{bad}.nii.gz"
+        path.write_bytes(path.read_bytes()[:-7])
+        out = tmp_path / "out"
+        baseline = threading.active_count()
+        argv = ["harmonize", "--ref-dir", str(ref), "--in", str(small_cohort / ".nii.gz" / "in"),
+                "--out", str(out), "--jobs", "1"]
+        assert main(argv) == EXIT_DATA
+        out_text, err = capsys.readouterr()
+        assert "gzip stream truncated" in err
+        assert str(path) in err
+        assert "harmonized" not in out_text
+        assert not out.exists()
+        assert threading.active_count() == baseline
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_missing_input_modality_fails_before_any_read(
+        self, small_cohort, tmp_path, capsys, monkeypatch, jobs
+    ):
+        raw = tmp_path / "in"
+        shutil.copytree(small_cohort / ".nii" / "in", raw)
+        (raw / "synth-002-t2.nii").unlink()
+        reads = []
+
+        def recording(read):
+            def recorded(path, *args, **kwargs):
+                reads.append(path)
+                return read(path, *args, **kwargs)
+            return recorded
+
+        for name in ("load_volume", "load_mask", "read_header"):
+            monkeypatch.setattr(nifti, name, recording(getattr(nifti, name)))
+        argv = ["harmonize", "--ref-dir", str(small_cohort / ".nii" / "ref"), "--in", str(raw),
+                "--out", str(tmp_path / "out"), "--jobs", str(jobs)]
+        assert main(argv) == EXIT_DATA
+        assert f"missing file {raw / 'synth-002-t2'}.nii[.gz]" in capsys.readouterr().err
+        assert reads == []
+        assert not (tmp_path / "out").exists()
+
+    def test_first_input_is_read_while_the_cdfs_are_built(
+        self, small_cohort, tmp_path, monkeypatch
+    ):
+        from gliomaforge import cli
+
+        src = small_cohort / ".nii"
+        input_read = threading.Event()
+        load_volume, build_cdf = nifti.load_volume, cli.build_cdf
+
+        def flagging_load_volume(path):
+            if path.parent == src / "in":
+                input_read.set()
+            return load_volume(path)
+
+        def waiting_build_cdf(values):
+            # the reader decodes the first input on its own, or never does
+            assert input_read.wait(30), "no input was read while the CDFs were built"
+            return build_cdf(values)
+
+        monkeypatch.setattr(nifti, "load_volume", flagging_load_volume)
+        monkeypatch.setattr(cli, "build_cdf", waiting_build_cdf)
+        argv = ["harmonize", "--ref-dir", str(src / "ref"), "--in", str(src / "in"),
+                "--out", str(tmp_path / "out"), "--jobs", "1"]
+        assert main(argv) == EXIT_OK
+
 
 class TestFeaturesCommand:
     def test_csv_shape(self, workspace):

@@ -180,3 +180,124 @@ def test_ks_statistic_matches_scipy():
         a = rng.normal(size=500)
         b = rng.normal(loc=0.3, size=700)
         assert ks_statistic(a, b) == pytest.approx(ks_2samp(a, b).statistic, abs=1e-12)
+
+
+def bits(a):
+    """float64 values as int64 bit patterns: equal bits, equal values, NaNs and signed zeros
+    included."""
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+def interp_draw(rng):
+    """A random mapping and values to map: knots over a random scale and offset, some a ulp
+    apart, outputs with ties, and values on, between and past the knots."""
+    magnitude = 10.0 ** rng.uniform(-3, 6)
+    xp = rng.normal(size=int(rng.integers(2, 300))) * magnitude + rng.normal() * magnitude
+    pairs = rng.choice(xp, size=min(xp.size, int(rng.integers(0, 4))), replace=False)
+    xp = np.unique(np.concatenate([xp, np.nextafter(pairs, np.inf)]))
+    fp = np.sort(np.round(rng.normal(size=xp.size) * 10.0 ** rng.uniform(-2, 4), 1))
+    lo, hi = xp[0], xp[-1]
+    span = hi - lo
+    x = np.concatenate([
+        rng.uniform(lo - span / 8, hi + span / 8, size=int(rng.integers(1, 5000))),
+        xp, np.nextafter(xp, -np.inf), np.nextafter(xp, np.inf),
+        [lo - span, hi + span, 0.0, -0.0],
+    ])
+    return xp, fp, rng.permutation(x)
+
+
+class TestTableInterpolation:
+    """`HarmonizationMapping.apply` equals np.interp bit for bit."""
+
+    def test_random_mappings_equal_np_interp(self):
+        rng = np.random.default_rng(2024)
+        for draw in range(250):
+            xp, fp, x = interp_draw(rng)
+            if xp.size < 2:
+                continue
+            got = HarmonizationMapping(source_knots=xp, reference_knots=fp).apply(x)
+            assert np.array_equal(bits(got), bits(np.interp(x, xp, fp))), f"draw {draw}"
+
+    @pytest.mark.parametrize(
+        "xp, fp",
+        [
+            ([1.0, 3.0], [-2.0, 5.0]),
+            ([1.0, np.nextafter(1.0, 2.0), 2.0], [0.0, 7.0, 9.0]),
+            ([-5.0, -1.0, 0.0, 2.0], [-3.0, -3.0, 0.5, 8.0]),
+            ([-0.0, 1e-300, 4.0], [1.0, 2.0, 3.0]),
+            (np.geomspace(1e-3, 1e6, 50), np.geomspace(1.0, 1e4, 50)),
+        ],
+        ids=["two-knots", "ulp-apart", "negative", "signed-zero", "1e-3-to-1e6"],
+    )
+    def test_explicit_cases(self, xp, fp):
+        xp, fp = np.asarray(xp, dtype=np.float64), np.asarray(fp, dtype=np.float64)
+        span = xp[-1] - xp[0]
+        x = np.concatenate([
+            xp, np.nextafter(xp, -np.inf), np.nextafter(xp, np.inf),
+            [xp[-1], xp[0] - span, xp[-1] + span, -np.inf, np.inf, np.nan, 0.0, -0.0, -1.0],
+            np.linspace(xp[0] - span / 4, xp[-1] + span / 4, 10_001),
+            np.geomspace(1e-3, 1e6, 10_001),
+        ])
+        got = HarmonizationMapping(source_knots=xp, reference_knots=fp).apply(x)
+        assert np.array_equal(bits(got), bits(np.interp(x, xp, fp)))
+
+    def test_float32_input_and_shape(self):
+        rng = np.random.default_rng(3)
+        x = rng.lognormal(1.0, 0.5, size=(7, 9, 40_000 // 63)).astype(np.float32)
+        mapping = HarmonizationMapping.fit(x, build_cdf(rng.lognormal(2.0, 0.3, size=5000)))
+        got = mapping.apply(x)
+        want = np.interp(x.astype(np.float64), mapping.source_knots, mapping.reference_knots)
+        assert got.shape == x.shape and got.dtype == np.float64
+        assert np.array_equal(bits(got), bits(want))
+
+    def test_allocates_only_its_output_and_chunk_temporaries(self):
+        import tracemalloc
+
+        from gliomaforge import harmonize
+
+        rng = np.random.default_rng(4)
+        values = rng.lognormal(5.0, 0.5, size=2_700_000).astype(np.float32)
+        reference = build_cdf(rng.lognormal(4.0, 0.4, 50_000))
+        mapping = HarmonizationMapping.fit(values[:50_000], reference)
+        # five scratch arrays of one chunk, the bin table and the knots' arrays
+        chunks = 5 * 8 * harmonize._INTERP_CHUNK
+        temporaries = chunks + 8 * (harmonize._INTERP_BINS + 1) + (256 << 10)
+        tracemalloc.start()
+        try:
+            out = mapping.apply(values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + temporaries, (peak, out.nbytes)
+
+
+class TestQuantileBrackets:
+    """`EmpiricalCDF.quantile` equals np.interp over every plotting position."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 1000, 10**6])
+    def test_equals_positions_formula(self, n):
+        rng = np.random.default_rng(n)
+        values = np.sort(np.round(rng.normal(size=n), 2))  # rounding makes ties
+        cdf = EmpiricalCDF(values=values)
+        positions = (np.arange(n) + 0.5) / n
+        on = positions[:: max(1, n // 2000)]
+        levels = np.concatenate([
+            rng.uniform(-0.25, 1.25, size=4000), on, np.nextafter(on, -np.inf),
+            np.nextafter(on, np.inf), [0.0, 1.0, 0.5 / n, 1 - 0.5 / n, -np.inf, np.inf, np.nan],
+        ])
+        want = np.interp(levels, positions, values)
+        assert np.array_equal(bits(cdf.quantile(levels)), bits(want))
+        assert np.array_equal(bits(cdf.quantile(0.37)), bits(np.interp(0.37, positions, values)))
+
+    def test_builds_no_array_of_n_elements(self):
+        import tracemalloc
+
+        cdf = EmpiricalCDF.from_samples(np.random.default_rng(5).normal(size=10**6))
+        levels = np.linspace(0.0, 1.0, 256)
+        tracemalloc.start()
+        try:
+            cdf.quantile(levels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < cdf.values.nbytes // 16, peak

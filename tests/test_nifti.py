@@ -320,7 +320,7 @@ class TestLoadCase:
     def test_iter_case_files_streams_in_load_case_order(self, tmp_path):
         self.write_case(tmp_path, case_id="a", with_seg=True)
         self.write_case(tmp_path, case_id="b")
-        items = list(nifti.iter_case_files([(tmp_path, "a"), (tmp_path, "b")]))
+        items = list(nifti.iter_case_files(nifti.case_paths([(tmp_path, "a"), (tmp_path, "b")])))
         assert [(c, n) for c, n, _ in items] == (
             [("a", n) for n in nifti.CASE_FILES] + [("b", n) for n in nifti.MODALITIES]
         )
@@ -334,7 +334,7 @@ class TestLoadCase:
         self.write_case(tmp_path, case_id="a", with_seg=True)
         self.write_case(tmp_path, case_id="b", dims=(5, 4, 4), with_seg=True)
         (tmp_path / f"b-{name}.nii").write_bytes((tmp_path / f"a-{name}.nii").read_bytes())
-        stream = nifti.iter_case_files([(tmp_path, "a"), (tmp_path, "b")])
+        stream = nifti.iter_case_files(nifti.case_paths([(tmp_path, "a"), (tmp_path, "b")]))
         seen = []
         with pytest.raises(AlignmentError, match=f"b-{name}.nii: case b: "):
             for case_id, file_name, _ in stream:
@@ -347,7 +347,7 @@ class TestLoadCase:
     def test_read_ahead_yields_every_item_and_joins_its_thread(self, tmp_path):
         self.write_case(tmp_path, case_id="a", with_seg=True)
         self.write_case(tmp_path, case_id="b")
-        cases = [(tmp_path, "a"), (tmp_path, "b")]
+        cases = nifti.case_paths([(tmp_path, "a"), (tmp_path, "b")])
         baseline = threading.active_count()
         got = list(nifti.read_ahead(nifti.iter_case_files(cases)))
         want = list(nifti.iter_case_files(cases))
@@ -370,3 +370,57 @@ class TestLoadCase:
         self.write_case(tmp_path, case_id="b")
         self.write_case(tmp_path, case_id="a")
         assert nifti.list_case_ids(tmp_path) == ["a", "b"]
+
+
+def byteswapped_file(buf: bytes, dtype) -> bytes:
+    """`buf` with its header and payload written big-endian."""
+    header = np.frombuffer(buf[: nifti.HEADER_SIZE], dtype=nifti._header_dtype("<"))
+    payload = np.frombuffer(buf[nifti.DEFAULT_VOX_OFFSET :], dtype=np.dtype(dtype))
+    pad = buf[nifti.HEADER_SIZE : nifti.DEFAULT_VOX_OFFSET]
+    return header.byteswap().tobytes() + pad + payload.byteswap().tobytes()
+
+
+class TestBlockedTranspose:
+    """Decodes and encodes copy in blocks, with numpy's one-shot copies' arrays and bytes."""
+
+    @pytest.fixture(params=[3, nifti._TRANSPOSE_BLOCK], ids=["block-3", "default-block"],
+                    autouse=True)
+    def block(self, request, monkeypatch):
+        monkeypatch.setattr(nifti, "_TRANSPOSE_BLOCK", request.param)
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (17, 3, 33), (33, 240, 5)],
+                             ids=lambda s: "x".join(map(str, s)))
+    @pytest.mark.parametrize(
+        "kind", ["uint8", "int16", "scaled-int16", "float32", "big-endian-int16",
+                 "big-endian-float32"],
+    )
+    def test_decode_and_encode_equal_numpy_copies(self, shape, kind):
+        rng = np.random.default_rng(sum(shape))
+        code = {"uint8": 2, "float32": 16}.get(kind.removeprefix("big-endian-"), 4)
+        dtype = {2: np.uint8, 4: np.int16, 16: np.float32}[code]
+        if code == 16:
+            data = rng.normal(size=shape).astype(dtype)
+        else:
+            data = rng.integers(0, 4 if code == 2 else 3000, size=shape).astype(dtype)
+        header, payload = nifti._encode(data, (1.0, 1.0, 1.0), code)
+        assert payload.flags.c_contiguous
+        assert payload.tobytes() == np.ascontiguousarray(data.T).tobytes()
+        buf = header + payload.tobytes()
+        if kind == "scaled-int16":
+            buf = scaled(buf, 0.5, -3.25)
+        if kind.startswith("big-endian"):
+            buf = byteswapped_file(buf, dtype)
+        order = ">" if kind.startswith("big-endian") else "<"
+        raw = np.frombuffer(buf, dtype=np.dtype(dtype).newbyteorder(order),
+                            offset=nifti.DEFAULT_VOX_OFFSET).reshape(shape, order="F")
+        want = np.array(raw, dtype=np.float32, order="C")
+        if kind == "scaled-int16":
+            want *= np.float32(0.5)
+            want += np.float32(-3.25)
+        got = nifti.read_volume(buf).data
+        assert got.flags.c_contiguous
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+        if code == 2:
+            labels = nifti.read_mask(buf).labels
+            assert labels.flags.c_contiguous
+            assert np.array_equal(labels, np.array(raw, order="C"))
