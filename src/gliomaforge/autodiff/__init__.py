@@ -11,7 +11,7 @@ from .conv import (
     trilinear_resize,
 )
 from .gradcheck import gradcheck, numeric_grad
-from .tensor import Parameter, Tensor, concat, layer_norm, no_grad, softmax
+from .tensor import Parameter, Tensor, concat, is_grad_enabled, layer_norm, no_grad, softmax
 
 __all__ = [
     "MAGIC",
@@ -24,6 +24,7 @@ __all__ = [
     "depthwise_conv3d_tokens",
     "global_avg_pool",
     "gradcheck",
+    "is_grad_enabled",
     "layer_norm",
     "load_checkpoint",
     "no_grad",

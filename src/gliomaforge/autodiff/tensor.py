@@ -36,6 +36,11 @@ def no_grad():
         _grad_enabled = prev
 
 
+def is_grad_enabled():
+    """Whether ops record the graph: False inside `no_grad`."""
+    return _grad_enabled
+
+
 def _unbroadcast(grad, shape):
     """Reduce a gradient back to the shape it was broadcast from."""
     extra = grad.ndim - len(shape)

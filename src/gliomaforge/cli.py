@@ -55,7 +55,7 @@ from .stratify import (
     stratify_cases,
     write_folds_csv,
 )
-from .train import TrainConfig, fit, predict_labels, training_case, write_fit_log
+from .train import TrainConfig, fit, padded_dims, predict_labels, training_case, write_fit_log
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -118,13 +118,17 @@ def resolve_seed(args, config) -> int:
     return cfgmod.option(args.seed, source, key, DEFAULT_SEED)
 
 
-def _map_cases(work, tasks, jobs):
+def _map_cases(work, tasks, jobs, initializer=None, initargs=()):
     """Yield `work(task)` for each task in task order, each as soon as it and
-    every task before it are done; with `jobs` > 1, in worker processes."""
+    every task before it are done; with `jobs` > 1, in worker processes.
+    `initializer(*initargs)`, if given, runs first in each process that
+    does work, so what every task shares is sent to a worker once."""
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(jobs, initializer=initializer, initargs=initargs) as pool:
             yield from pool.map(work, tasks)
     else:
+        if initializer is not None:
+            initializer(*initargs)
         yield from map(work, tasks)
 
 
@@ -168,11 +172,22 @@ def _harmonize_cases(paths, files, out_dir, cdfs, quantiles, compress):
         yield case_id
 
 
+# The reference CDFs of a `harmonize --jobs N` worker, set once per worker
+# by `_set_worker_cdfs`: they are far larger than any one case's task.
+_worker_cdfs = None
+
+
+def _set_worker_cdfs(cdfs):
+    global _worker_cdfs
+    _worker_cdfs = cdfs
+
+
 def _harmonize_task(task):
-    """`_harmonize_cases` on one case's paths, read ahead on a thread."""
-    paths, *rest = task
+    """`_harmonize_cases` on one case's paths against the worker's CDFs,
+    read ahead on a thread."""
+    paths, out_dir, quantiles, compress = task
     with closing(read_ahead(iter_case_files(paths))) as files:
-        return list(_harmonize_cases(paths, files, *rest))
+        return list(_harmonize_cases(paths, files, out_dir, _worker_cdfs, quantiles, compress))
 
 
 def cmd_harmonize(args) -> int:
@@ -187,14 +202,19 @@ def cmd_harmonize(args) -> int:
     with closing(read_ahead(iter_case_files(paths))) as files:
         cdfs = _reference_cdfs(islice(files, len(ref_paths)))
         Path(args.out).mkdir(parents=True, exist_ok=True)
-        rest = (args.out, cdfs, quantiles, args.compress)
         if args.jobs == 1:
-            done = _harmonize_cases(in_paths, files, *rest)
+            done = _harmonize_cases(in_paths, files, args.out, cdfs, quantiles, args.compress)
         else:
             files.close()  # join the reader thread before the workers start
-            # one task per case, scheduled as workers come free
-            tasks = [(list(case), *rest) for _, case in groupby(in_paths, itemgetter(0))]
-            done = chain.from_iterable(_map_cases(_harmonize_task, tasks, args.jobs))
+            # one task per case, scheduled as workers come free; the CDFs go
+            # to each worker once
+            tasks = [
+                (list(case), args.out, quantiles, args.compress)
+                for _, case in groupby(in_paths, itemgetter(0))
+            ]
+            done = chain.from_iterable(
+                _map_cases(_harmonize_task, tasks, args.jobs, _set_worker_cdfs, (cdfs,))
+            )
         # each case is reported once its files, and those of every case
         # before it, are in place
         for case_id in done:
@@ -347,14 +367,18 @@ def predict_case(
     quantiles: int = DEFAULT_QUANTILES,
     postprocess: bool = True,
 ) -> SegmentationMask:
-    """Harmonize (optional), normalize, pad, forward, argmax, crop, filter."""
-    channels = []
-    for mod in MODALITIES:
+    """Harmonize (optional), normalize into one zero-padded input, forward,
+    argmax, crop, filter."""
+    dims = case.dims
+    images = np.zeros((len(MODALITIES), *padded_dims(dims)), dtype=np.float32)
+    crop = tuple(slice(0, s) for s in dims)
+    for channel, mod in zip(images, MODALITIES):
         vol = case.modalities[mod]
         if ref_cdfs is not None:
             vol = match_histogram(vol, ref_cdfs[mod], quantiles=quantiles)
-        channels.append(zscore_normalize(vol).data)
-    labels = predict_labels(model, np.stack(channels).astype(np.float32))
+        zscore_normalize(vol, out=channel[crop])
+    del vol  # a matched volume would otherwise live on through the forward
+    labels = predict_labels(model, images, dims)
     mask = SegmentationMask(labels=labels, spacing=case.modalities["t1"].spacing)
     if postprocess:
         mask = keep_largest_per_class(mask)

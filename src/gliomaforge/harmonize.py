@@ -204,25 +204,33 @@ def match_histogram(source: Volume, ref_cdf: EmpiricalCDF, quantiles: int = 256)
     return Volume(header=source.header, data=out)
 
 
-def zscore_normalize(volume: Volume, mask: np.ndarray | None = None) -> Volume:
+def zscore_normalize(
+    volume: Volume, mask: np.ndarray | None = None, out: np.ndarray | None = None
+) -> Volume:
     """Zero-mean unit-variance normalization over masked voxels.
 
     Mask defaults to nonzero voxels; background is set to exactly 0. Uses the
     population standard deviation. A constant foreground cannot be normalized.
+    The statistics and the scaling are float64 over the masked values alone,
+    rounded to float32 once. `out`, a float32 array of the volume's shape (a
+    view into a larger input, say), receives the result and becomes its data.
     """
-    data = volume.data.astype(np.float64)
-    if mask is None:
-        mask = data != 0
-    mask = np.asarray(mask, dtype=bool)
-    selected = data[mask]
+    data = volume.data
+    mask = data != 0 if mask is None else np.asarray(mask, dtype=bool)
+    selected = data[mask].astype(np.float64)
     if selected.size == 0:
         raise EmptyForegroundError("mask selects no voxels")
     std = selected.std()
     if std == 0 or selected.size < 2:
         raise DegenerateInputError("constant foreground has no intensity scale")
-    out = np.zeros_like(data)
-    out[mask] = (selected - selected.mean()) / std
-    return Volume(header=volume.header, data=out.astype(np.float32))
+    selected -= selected.mean()
+    selected /= std
+    if out is None:
+        out = np.zeros(data.shape, dtype=np.float32)
+    else:
+        out[...] = 0
+    out[mask] = selected
+    return Volume(header=volume.header, data=out)
 
 
 def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:

@@ -9,15 +9,27 @@ pyramid back to full-resolution class logits.
 
 Memory at inference is kept near the size of the input. Attention runs
 its queries in chunks of at most `_QUERY_CHUNK` tokens against the full
-reduced K/V, which gives the unchunked map's rows exactly. The decoder's
-last upsampler and its 1x1 head are one linear map, so they run as one
-transposed conv with `num_classes` outputs whose weight and bias are
-composed from both layers' parameters on every forward; the checkpoint
-keeps both layers.
+reduced K/V, which gives the unchunked map's rows exactly. Two pairs of
+linear maps with nothing between them run as one layer each; checkpoints
+keep all four layers:
+
+- The decoder's last upsampler and its 1x1 head run as one transposed conv
+  with `num_classes` outputs, whose weight and bias are composed from both
+  layers' parameters as graph ops on every forward, training included.
+- The frequency stem and stage 1's patch merge run as one (k+2)^3 conv
+  when grad is off (`_StemMerge`), so inference never builds the stem's
+  2C-channel full-resolution output. The composed conv sees stem values
+  where the merge sees its zero padding, so it gives only the outputs
+  whose merge window lies inside the grid; the rest (a face one output
+  thick at the default stride 4) are recomputed through the stem and the
+  merge on the thinnest input slab, and keep their bits. With grad on,
+  the forward is the plain stem then merge: the faces' slabs and their
+  backward would cost more than the fold saves at training crop sizes.
 """
 
 import math
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -30,6 +42,7 @@ from .autodiff import (
     conv3d,
     depthwise_conv3d_tokens,
     global_avg_pool,
+    is_grad_enabled,
     layer_norm,
     load_checkpoint,
     save_checkpoint,
@@ -155,6 +168,125 @@ class _Conv:
         )
 
 
+class _StemInput:
+    """The model's input in place of its frequency stem's output: a forward
+    with grad off hands it to stage 1, whose merge then folds the stem."""
+
+    def __init__(self, model, x):
+        self.model, self.x = model, x
+
+
+class _StemMerge(_Conv):
+    """Stage 1's patch merge, which the frequency stem feeds directly.
+
+    On the stem's output it is the plain conv. On a `_StemInput` it gives
+    the same outputs without building the stem's output:
+    - outputs whose window lies inside the grid come from one conv with the
+      composed kernel (`_folded_weights`) on the input, zero-padded only
+      where the stem's own padding lies. It reads the input in boxes: a
+      view for most outputs, thin padded copies for those whose taps reach
+      past the grid, so the whole input is never copied.
+    - the faces whose window reads the merge's zero padding go through the
+      stem and this conv, on the thinnest slab of the input that covers
+      them, and keep their bits.
+    """
+
+    def __call__(self, x):
+        if not isinstance(x, _StemInput):
+            return super().__call__(x)
+        model, x = x.model, x.x
+        s, pm, km = self.stride, self.padding, self.weight.shape[-1]
+        spatial = x.shape[2:]
+        counts = [(size + 2 * pm - km) // s + 1 for size in spatial]
+        # per axis, the outputs p_lo..p_hi read no merge padding
+        p_lo = -(-pm // s)
+        p_hi = [(size - km + pm) // s for size in spatial]
+        if min(p_hi) <= p_lo:
+            # with fewer than two on an axis, a face can be one output
+            # column, whose product numpy hands to a matrix-vector BLAS call
+            # that sums in another order; such grids take the plain path
+            return super().__call__(model.frequency_stem(x))
+        out = np.empty((x.shape[0], self.weight.shape[0], *counts), dtype=self.weight.dtype)
+        inner = [(p_lo, hi + 1) for hi in p_hi]
+        # faces: an axis's outputs before p_lo and after p_hi, over the inner
+        # outputs of the axes before it and all outputs of those after it
+        for axis in range(3):
+            for face in ((0, p_lo), (p_hi[axis] + 1, counts[axis])):
+                if face[0] < face[1]:
+                    box = inner[:axis] + [face] + [(0, c) for c in counts[axis + 1 :]]
+                    out[_box(box)] = self._face(model, x, box, p_lo)
+        # output p's composed taps read x at s*p - reach + t, t < k: split
+        # each axis where they start and stop reaching past the grid, so
+        # only the boxes at its edges need a padded copy
+        weight, bias = self._folded_weights(model.stem_low, model.stem_high)
+        k, reach = weight.shape[-1], pm + model.stem_low.padding
+        first = -(-reach // s)  # the first output whose taps start inside x
+        cuts = []
+        for (p0, p1), size in zip(inner, spatial):
+            end = (size - k + reach) // s + 1  # past the last whose taps end inside x
+            cuts.append(sorted({p0, p1, min(max(first, p0), p1), min(max(end, p0), p1)}))
+        for box in product(*(zip(c, c[1:]) for c in cuts)):
+            take, pads = [], []
+            for (p0, p1), size in zip(box, spatial):
+                lo, hi = s * p0 - reach, s * (p1 - 1) - reach + k
+                take.append(slice(max(lo, 0), min(hi, size)))
+                pads.append((max(-lo, 0), max(hi - size, 0)))
+            slab = x.data[(...,) + tuple(take)]
+            if any(a or b for a, b in pads):
+                slab = np.pad(slab, ((0, 0), (0, 0), *pads))
+            out[_box(box)] = conv3d(Tensor(slab), weight, bias=bias, stride=s).data
+        return Tensor(out)
+
+    def _face(self, model, x, box, p_lo):
+        """The outputs in `box` through the stem and this conv, on the input
+        slab that covers them and the stem voxels their windows read."""
+        s, pm, km = self.stride, self.padding, self.weight.shape[-1]
+        ps = model.stem_low.padding
+        take, crop, keep = [], [], []
+        for (p0, p1), size in zip(box, x.shape[2:]):
+            # the slab starts at an output on the merge grid whose window
+            # the slab's own merge padding does not shift
+            q0 = max(0, p0 - p_lo)
+            b, e = s * q0, min(size, s * (p1 - 1) - pm + km)  # the stem voxels read
+            x0 = max(b - ps, 0)
+            take.append(slice(x0, min(e + ps, size)))
+            crop.append(slice(b - x0, e - x0))
+            keep.append(slice(p0 - q0, p1 - q0))
+        stem = model.frequency_stem(Tensor(x.data[(...,) + tuple(take)]))
+        merged = super().__call__(stem[(slice(None),) * 2 + tuple(crop)])
+        return merged.data[(...,) + tuple(keep)]
+
+    def _folded_weights(self, low, high):
+        """The composed conv's weight and bias, in float64, cast once.
+
+        K[o, c] = W[o, c] * w_low[c] + W[o, C+c] * (w_high[c] - w_low[c]),
+        with * full 3D convolution, so K is (k_merge + k_stem - 1)^3; and
+        B' = B + sum_u W[:, :C] b_low + sum_u W[:, C:] (b_high - b_low).
+        """
+        wm = self.weight.data.astype(np.float64)
+        c, km = wm.shape[1] // 2, wm.shape[-1]
+        w_low = low.weight.data[:, 0].astype(np.float64)
+        w_diff = high.weight.data[:, 0].astype(np.float64) - w_low
+        b_low = low.bias.data.astype(np.float64)
+        b_diff = high.bias.data.astype(np.float64) - b_low
+        ks = w_low.shape[-1]
+        k = km + ks - 1
+        weight = np.zeros((wm.shape[0], c, k, k, k))
+        for a, b, q in np.ndindex(ks, ks, ks):
+            weight[:, :, a : a + km, b : b + km, q : q + km] += (
+                wm[:, :c] * w_low[:, a, b, q, None, None, None]
+                + wm[:, c:] * w_diff[:, a, b, q, None, None, None]
+            )
+        sums = wm.sum(axis=(2, 3, 4))
+        bias = self.bias.data + sums[:, :c] @ b_low + sums[:, c:] @ b_diff
+        return Tensor(weight.astype(self.weight.dtype)), Tensor(bias.astype(self.weight.dtype))
+
+
+def _box(ranges):
+    """The index of (start, stop) ranges over the spatial axes of N x C x D x H x W."""
+    return (slice(None), slice(None)) + tuple(slice(a, b) for a, b in ranges)
+
+
 class _TConv:
     def __init__(self, store, name, cin, cout, k, stride):
         self.stride = stride
@@ -276,8 +408,8 @@ class _Stage:
     def __init__(self, store, name, cin, cfg, index):
         cout = cfg.stage_channels[index]
         stride = cfg.stage_strides[index]
-        k, pad = (7, 3) if index == 0 else (3, 1)
-        self.merge = _Conv(store, f"{name}.merge", cin, cout, k, stride=stride, padding=pad)
+        k, pad, conv = (7, 3, _StemMerge) if index == 0 else (3, 1, _Conv)
+        self.merge = conv(store, f"{name}.merge", cin, cout, k, stride=stride, padding=pad)
         self.blocks = [
             _Block(
                 store,
@@ -424,6 +556,8 @@ class GliomaForgeNet:
         return concat([low, high], axis=1)
 
     def encode(self, x_stem):
+        """The four stages' feature pyramid from the stem's output, or from a
+        `_StemInput`, which stage 1's merge folds the stem into."""
         pyramid = []
         x = x_stem
         for stage in self.stages:
@@ -441,7 +575,8 @@ class GliomaForgeNet:
             raise ShapeError(
                 f"spatial dims {tuple(x.shape[2:])} must be divisible by 32; pad the input"
             )
-        pyramid = self.encode(self.frequency_stem(x))
+        stem = self.frequency_stem(x) if is_grad_enabled() else _StemInput(self, x)
+        pyramid = self.encode(stem)
         attended = self.dual(pyramid[3])
         return self.decoder(pyramid, attended)
 

@@ -16,8 +16,8 @@ Errors raised while reading or checking a case file name the file.
 
 from __future__ import annotations
 
-import gzip
 import os
+import re
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -51,6 +51,12 @@ _BITPIX = {2: 8, 4: 16, 16: 32}
 # `_c_order` copies blocks of this many indices of the first two axes at a
 # time, the last axis whole, so a block's reads and writes stay in cache
 _TRANSPOSE_BLOCK = 32
+
+# Bytes of compressed input, and of output, that `_inflate` hands zlib per
+# call: below malloc's mmap threshold, so each call's output buffer is
+# reused memory, and small beside a payload.
+_INFLATE_CHUNK = 1 << 16
+_NONZERO_BYTE = re.compile(rb"[^\x00]")
 
 # Full NIfTI-1 header layout; offsets are fixed by the standard.
 _HEADER_FIELDS = [
@@ -394,18 +400,51 @@ def read_mask(buf: bytes, remap_label_4: bool = True) -> SegmentationMask:
     return SegmentationMask(labels=labels, spacing=header.spacing)
 
 
-def _read_bytes(path: Path) -> bytes:
+def _read_bytes(path: Path) -> bytes | memoryview:
     path = Path(path)
     buf = path.read_bytes()
-    if path.suffix != ".gz":
-        return buf
+    return _inflate(buf) if path.suffix == ".gz" else buf
+
+
+def _inflate(data: bytes) -> memoryview:
+    """The payload of every gzip member in `data`, in order.
+
+    zlib checks each member's header, CRC and length while it inflates, so
+    the payload is read once. Output comes `_INFLATE_CHUNK` bytes at a time
+    and is copied into one buffer sized from the last member's trailer:
+    exact for a file of one member, grown when more members follow. So no
+    second full-size copy of the payload exists at any time. Zero bytes
+    between members are skipped, as gzip.decompress does.
+    """
+    # unfilled pages cost nothing, so a corrupt trailer's size does no harm
+    out, size = np.empty(int.from_bytes(data[-4:], "little"), dtype=np.uint8), 0
+    view, start = memoryview(data), 0
     try:
-        # one-shot: checks the CRC and length of every member, like GzipFile
-        return gzip.decompress(buf)
-    except EOFError as err:
-        raise TruncatedDataError(f"gzip stream truncated: {err}") from err
-    except (gzip.BadGzipFile, zlib.error) as err:
+        while start < len(data):
+            inflater = zlib.decompressobj(wbits=31)
+            while not inflater.eof:
+                piece = view[start : start + _INFLATE_CHUNK]
+                if not piece:
+                    raise TruncatedDataError("gzip stream truncated: no end-of-stream marker")
+                start += len(piece)
+                while True:
+                    chunk = inflater.decompress(piece, _INFLATE_CHUNK)
+                    if size + len(chunk) > len(out):
+                        grown = np.empty(2 * len(out) + len(chunk), dtype=np.uint8)
+                        grown[:size] = out[:size]
+                        out = grown
+                    out[size : size + len(chunk)] = np.frombuffer(chunk, dtype=np.uint8)
+                    size += len(chunk)
+                    piece = inflater.unconsumed_tail
+                    # a full chunk may leave output pending in zlib
+                    if not piece and len(chunk) < _INFLATE_CHUNK:
+                        break
+            start -= len(inflater.unused_data)
+            nonzero = _NONZERO_BYTE.search(data, start)
+            start = nonzero.start() if nonzero else len(data)
+    except zlib.error as err:
         raise HeaderError(f"corrupt gzip stream: {err}") from err
+    return memoryview(out)[:size]
 
 
 def read_header(path) -> VolumeHeader:

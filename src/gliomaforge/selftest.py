@@ -13,11 +13,18 @@ import traceback
 
 import numpy as np
 
-from .autodiff import Parameter, Tensor, conv3d, depthwise_conv3d_tokens, transpose_conv3d
+from .autodiff import (
+    Parameter,
+    Tensor,
+    conv3d,
+    depthwise_conv3d_tokens,
+    no_grad,
+    transpose_conv3d,
+)
 from .autodiff.gradcheck import gradcheck
 from .harmonize import EmpiricalCDF, HarmonizationMapping, build_cdf, ks_statistic, match_histogram
 from .metrics import _boundary, connected_components, dice, hd95, keep_largest_per_class
-from .model import GliomaForgeNet, ModelConfig, _to_grid, _to_tokens
+from .model import GliomaForgeNet, ModelConfig, _StemInput, _to_grid, _to_tokens
 from .nifti import (
     DEFAULT_VOX_OFFSET,
     SegmentationMask,
@@ -225,6 +232,42 @@ def decoder_gradcheck(seed):
     return gradcheck(build, [rng.normal(size=getattr(*slot).shape) for slot in slots])
 
 
+def merge_padding_faces(merge, spatial):
+    """Boolean grid over a merge conv's outputs: True where the window reads
+    the conv's zero padding."""
+    k, s, p = merge.weight.shape[-1], merge.stride, merge.padding
+    axes = []
+    for size in spatial:
+        first = np.arange((size + 2 * p - k) // s + 1) * s - p  # first input each window reads
+        axes.append((first < 0) | (first + k > size))
+    return axes[0][:, None, None] | axes[1][None, :, None] | axes[2][None, None, :]
+
+
+def stem_merge_fold_check(model, x):
+    """Stage 1's merge with the stem folded in, against the stem then the
+    merge: the padding-reading faces byte-equal, the rest within float32
+    rounding. Random stem weights and biases and merge bias, so every term
+    of the composed kernel and bias counts."""
+    rng = np.random.default_rng(0)
+    merge = model.stages[0].merge
+    for p in (model.stem_low.weight, model.stem_low.bias, model.stem_high.weight,
+              model.stem_high.bias, merge.bias):
+        p.data = rng.normal(size=p.shape).astype(p.dtype)
+    with no_grad():
+        ref = merge(model.frequency_stem(x)).data
+        folded = merge(_StemInput(model, x)).data
+    faces = merge_padding_faces(merge, x.shape[2:])
+    _check(folded.shape == ref.shape, f"folded merge shape {folded.shape} != {ref.shape}")
+    _check(
+        folded[:, :, faces].tobytes() == ref[:, :, faces].tobytes(),
+        "folded stem merge changed the bits of a padding-reading face output",
+    )
+    _check(
+        np.allclose(folded, ref, rtol=1e-5, atol=1e-5 * np.abs(ref).max()),
+        "folded stem merge differs from the stem then the merge",
+    )
+
+
 def suite_model_contract(seed):
     model = GliomaForgeNet(config=ModelConfig(**SMALL_MODEL), seed=seed)
     x = Tensor(np.random.default_rng(seed).normal(size=(1, 4, 32, 32, 32)).astype(np.float32))
@@ -251,6 +294,10 @@ def suite_model_contract(seed):
         "logits changed through a checkpoint save and load",
     )
     decoder_gradcheck(seed)
+    # every face has enough outputs that BLAS sums its product as it sums
+    # the whole grid's (OpenBLAS has a separate kernel for small products)
+    x = np.random.default_rng(seed).normal(size=(1, 4, 32, 64, 64)).astype(np.float32)
+    stem_merge_fold_check(GliomaForgeNet(config=ModelConfig(**SMALL_MODEL), seed=seed), Tensor(x))
     # Mix-FFN runs the depthwise kernel on its tokens, channels last; conv3d
     # on the permuted grid runs it channels first, with the same sums
     rng = np.random.default_rng(seed)

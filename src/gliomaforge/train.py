@@ -74,12 +74,12 @@ class TrainingCase:
 
 
 def training_case(case: MultiModalCase) -> TrainingCase:
-    """Z-score each modality over its nonzero voxels and stack channels."""
+    """Z-score each modality over its nonzero voxels into its channel."""
     if case.label is None:
         raise LabelError(f"case {case.case_id} has no label volume")
-    images = np.stack(
-        [zscore_normalize(case.modalities[m]).data for m in MODALITIES]
-    ).astype(np.float32)
+    images = np.empty((len(MODALITIES), *case.label.dims), dtype=np.float32)
+    for channel, mod in zip(images, MODALITIES):
+        zscore_normalize(case.modalities[mod], out=channel)
     return TrainingCase(case.case_id, images, case.label.labels.astype(np.uint8))
 
 
@@ -285,18 +285,22 @@ def mean_foreground_dice(pred: np.ndarray, truth: np.ndarray) -> float:
     return float(np.mean(scores))
 
 
-def _pad_to_multiple(images: np.ndarray, multiple: int = 32) -> tuple[np.ndarray, tuple]:
-    dims = images.shape[1:]
-    pads = [(0, (-s) % multiple) for s in dims]
-    padded = np.pad(images, [(0, 0)] + pads)
-    return padded, tuple(slice(0, s) for s in dims)
+def padded_dims(dims) -> tuple[int, ...]:
+    """`dims` rounded up to a multiple of 32, which the network's strides divide."""
+    return tuple(s + (-s) % 32 for s in dims)
 
 
-def predict_labels(model: GliomaForgeNet, images: np.ndarray) -> np.ndarray:
-    """Argmax prediction with zero padding up to the stride multiple."""
-    padded, crop = _pad_to_multiple(images)
+def predict_labels(model: GliomaForgeNet, images: np.ndarray, dims=None) -> np.ndarray:
+    """Argmax prediction over `images` zero-padded up to the stride multiple
+    (used as they are when they need no padding), cropped to `dims`: the
+    grid of `images`, unless they come zero-padded already."""
+    grid = images.shape[1:]
+    pads = [(0, p - s) for s, p in zip(grid, padded_dims(grid))]
+    if any(after for _, after in pads):
+        images = np.pad(images, [(0, 0)] + pads)
     with no_grad():
-        logits = model(Tensor(padded[None]))
+        logits = model(Tensor(images[None]))
+    crop = tuple(slice(0, s) for s in (grid if dims is None else dims))
     return np.argmax(logits.data[0], axis=0)[crop].astype(np.uint8)
 
 

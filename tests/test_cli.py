@@ -2,11 +2,13 @@
 
 import argparse
 import os
+import pickle
 import shutil
 import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -14,6 +16,8 @@ import pytest
 
 import gliomaforge
 from gliomaforge import nifti
+from gliomaforge import cli
+from gliomaforge.autodiff import Tensor
 from gliomaforge.cli import (
     EXIT_DATA,
     EXIT_OK,
@@ -21,6 +25,7 @@ from gliomaforge.cli import (
     _map_cases,
     atomic_output,
     main,
+    predict_case,
     resolve_seed,
 )
 from gliomaforge.config import (
@@ -32,12 +37,23 @@ from gliomaforge.config import (
 )
 from gliomaforge.errors import ConfigError
 from gliomaforge.harmonize import build_cdf, match_histogram
-from gliomaforge.metrics import read_metrics_csv
-from gliomaforge.model import ModelConfig
-from gliomaforge.nifti import list_case_ids, load_mask, load_volume, save_case, save_volume
+from gliomaforge.metrics import keep_largest_per_class, read_metrics_csv
+from gliomaforge.model import GliomaForgeNet, ModelConfig
+from gliomaforge.nifti import (
+    MultiModalCase,
+    SegmentationMask,
+    Volume,
+    list_case_ids,
+    load_mask,
+    load_volume,
+    save_case,
+    save_volume,
+)
 from gliomaforge.radiomics import FEATURE_NAMES
+from gliomaforge.selftest import SMALL_MODEL
 from gliomaforge.stratify import read_folds_csv
 from gliomaforge.synthetic import make_case, make_dataset
+from gliomaforge.train import predict_labels
 
 TINY_CFG = """
 seed = 7
@@ -372,6 +388,29 @@ class TestHarmonizeCommand:
         assert a == b
         ids = list_case_ids(workspace["raw"])
         assert capsys.readouterr().out.split() == [w for cid in ids for w in ("harmonized", cid)]
+
+
+    def test_parallel_tasks_leave_the_reference_out(self, workspace, tmp_path, monkeypatch):
+        # the reference CDFs go to each worker once, through the pool's
+        # initializer, not pickled into every case's task
+        sizes = []
+        real = cli._map_cases
+
+        def spy(work, tasks, jobs, *rest):
+            sizes.extend(len(pickle.dumps(task)) for task in tasks)
+            return real(work, tasks, jobs, *rest)
+
+        monkeypatch.setattr(cli, "_map_cases", spy)
+        out = tmp_path / "harm2"
+        rc = main(
+            ["harmonize", "--ref-dir", str(workspace["ref"]), "--in", str(workspace["raw"]),
+             "--out", str(out), "--jobs", "2"]
+        )
+        assert rc == EXIT_OK
+        assert len(sizes) == len(list_case_ids(workspace["raw"]))
+        assert max(sizes) < 4096
+        for path in workspace["harm"].iterdir():
+            assert (out / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 def _gated(task):
@@ -789,6 +828,85 @@ class TestPredictCommand:
                    "--in", str(workspace["raw"]), "--case-id", "synth-001",
                    "--out", str(out)])
         assert rc == EXIT_OK
+
+
+def _old_predict_case(model, case, ref_cdfs=None, quantiles=256):
+    """predict_case's front end as it was: a z-scored list of channels,
+    stacked, then padded by predict_labels."""
+    channels = []
+    for mod in nifti.MODALITIES:
+        vol = case.modalities[mod]
+        if ref_cdfs is not None:
+            vol = match_histogram(vol, ref_cdfs[mod], quantiles=quantiles)
+        data = vol.data.astype(np.float64)
+        fg = data != 0
+        out = np.zeros_like(data)
+        out[fg] = (data[fg] - data[fg].mean()) / data[fg].std()
+        channels.append(out.astype(np.float32))
+    labels = predict_labels(model, np.stack(channels).astype(np.float32))
+    return keep_largest_per_class(SegmentationMask(labels=labels, spacing=case.spacing))
+
+
+def _int16_case(case):
+    """`case` as decoded from int16 files: integer-valued volumes."""
+    rounded = {
+        mod: Volume.from_array(np.rint(vol.data * 100).astype(np.int16), vol.spacing)
+        for mod, vol in case.modalities.items()
+    }
+    return MultiModalCase(case.case_id, rounded, case.label)
+
+
+class _Probe:
+    """A model stand-in: records its input and the traced memory peak when
+    called, and returns all-zero logits."""
+
+    def __call__(self, x):
+        self.input = x.data
+        self.peak = tracemalloc.get_traced_memory()[1]
+        return Tensor(np.zeros((1, 4, *x.shape[2:]), dtype=np.float32))
+
+
+class TestPredictCase:
+    """predict_case z-scores each modality straight into one zero-padded
+    input; its masks are those of the old stack-then-pad front end."""
+
+    @pytest.fixture(scope="class")
+    def net(self):
+        return GliomaForgeNet(ModelConfig(**SMALL_MODEL), seed=3)
+
+    @pytest.mark.parametrize("kind", ["float32", "int16"])
+    @pytest.mark.parametrize("harmonized", [False, True], ids=["raw", "ref"])
+    def test_masks_equal_old_front_end(self, net, kind, harmonized):
+        case = make_case("odd", shape=(40, 36, 20), seed=5)
+        if kind == "int16":
+            case = _int16_case(case)
+        cdfs = None
+        if harmonized:
+            ref = make_case("ref", shape=(24, 24, 24), seed=6)
+            if kind == "int16":
+                ref = _int16_case(ref)
+            cdfs = {mod: build_cdf(vol.data) for mod, vol in ref.modalities.items()}
+        got = predict_case(net, case, ref_cdfs=cdfs)
+        want = _old_predict_case(net, case, ref_cdfs=cdfs)
+        assert got.labels.shape == (40, 36, 20)
+        assert got.labels.tobytes() == want.labels.tobytes()
+
+    def test_front_end_holds_one_padded_input(self):
+        # a 60x50x40 case pads to 64^3: the front end may hold the padded
+        # float32 input, a foreground mask and one modality's float64
+        # foreground with the one temporary its std takes
+        case = make_case("mem", shape=(60, 50, 40), seed=7)
+        probe = _Probe()
+        tracemalloc.start()
+        try:
+            predict_case(probe, case, postprocess=False)
+        finally:
+            tracemalloc.stop()
+        assert probe.input.shape == (1, 4, 64, 64, 64)
+        foreground = max(int(np.count_nonzero(v.data)) for v in case.modalities.values())
+        voxels = 60 * 50 * 40
+        bound = probe.input.nbytes + voxels + 2 * 8 * foreground + (256 << 10)
+        assert probe.peak <= bound
 
 
 class TestEvaluateCommand:

@@ -174,6 +174,52 @@ class TestZScore:
             zscore_normalize(Volume.from_array(np.zeros((3, 3, 3))))
 
 
+def old_zscore(volume, mask=None):
+    """zscore_normalize as it was: full-volume float64 copies."""
+    data = volume.data.astype(np.float64)
+    if mask is None:
+        mask = data != 0
+    mask = np.asarray(mask, dtype=bool)
+    selected = data[mask]
+    out = np.zeros_like(data)
+    out[mask] = (selected - selected.mean()) / selected.std()
+    return out.astype(np.float32)
+
+
+class TestZScoreBytes:
+    """zscore_normalize keeps its float64 statistics but takes them over the
+    foreground values alone; its output bytes are the old ones."""
+
+    @pytest.fixture(params=["float32", "int16"])
+    def volume(self, request):
+        rng = np.random.default_rng(40)
+        if request.param == "float32":
+            grid = ball_volume(shape=(20, 24, 18), radius=9, seed=41, shift=3.0, scale=7.3).data
+        else:  # an int16 file decodes to integer-valued float32
+            grid = rng.integers(-300, 3000, size=(20, 24, 18)).astype(np.int16)
+            grid[rng.random(grid.shape) < 0.4] = 0
+        return Volume.from_array(grid)
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["nonzero", "mask"])
+    def test_equals_old_formula(self, volume, masked):
+        mask = None
+        if masked:
+            mask = np.random.default_rng(42).random(volume.dims) < 0.5
+        got = zscore_normalize(volume, mask=mask).data
+        assert got.dtype == np.float32
+        assert got.tobytes() == old_zscore(volume, mask=mask).tobytes()
+
+    def test_out_is_written_in_place(self, volume):
+        big = np.full((2, 25, 30, 20), 9.0, dtype=np.float32)
+        view = big[1, 2:22, 3:27, 1:19]
+        result = zscore_normalize(volume, out=view)
+        assert np.shares_memory(result.data, big)
+        assert view.tobytes() == old_zscore(volume).tobytes()
+        untouched = np.ones(big.shape, dtype=bool)
+        untouched[1, 2:22, 3:27, 1:19] = False
+        assert np.all(big[untouched] == 9.0)
+
+
 def test_ks_statistic_matches_scipy():
     rng = np.random.default_rng(15)
     for _ in range(5):

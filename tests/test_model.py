@@ -18,7 +18,7 @@ from gliomaforge.model import (
     _Store,
     _to_tokens,
 )
-from gliomaforge.selftest import decoder_gradcheck
+from gliomaforge.selftest import decoder_gradcheck, stem_merge_fold_check
 
 SMALL = dict(
     stage_channels=[8, 16, 32, 64],
@@ -352,6 +352,72 @@ class TestHeadFold:
 
     def test_decoder_gradcheck_reaches_upfinal_and_head(self):
         assert decoder_gradcheck(seed=3) < 1e-4
+
+
+class TestStemMergeFold:
+    """With grad off, stage 1's merge folds the frequency stem into itself:
+    one composed conv for the outputs whose window lies inside the grid, the
+    stem then the merge on thin slabs for the faces that read the merge's
+    zero padding."""
+
+    # (32, 64, 64) gives every face enough outputs that BLAS sums each face's
+    # product as it sums the whole grid's; OpenBLAS runs products of at most
+    # 1e6 multiply-adds through a separate small-matrix kernel
+    @pytest.mark.parametrize("strides", [[4, 2, 2, 2], [2, 2, 2, 4]], ids=["s4", "s2"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_equals_stem_then_merge(self, n, strides):
+        net = GliomaForgeNet(ModelConfig(**SMALL, stage_strides=strides), seed=n)
+        x = np.random.default_rng(30 + n).normal(size=(n, 4, 32, 64, 64)).astype(np.float32)
+        stem_merge_fold_check(net, Tensor(x))
+
+    def test_float64_model(self):
+        net = small_net(dtype=np.float64)
+        x = np.random.default_rng(31).normal(size=(1, 4, 32, 32, 64))
+        stem_merge_fold_check(net, Tensor(x))
+
+    def test_forward_without_grad_uses_it(self):
+        net = small_net()
+        x = Tensor(np.random.default_rng(32).normal(size=(1, 4, 32, 32, 32)).astype(np.float32))
+        with no_grad():
+            folded = net(x).data
+            stem = net.frequency_stem(x)
+            pyramid = net.encode(stem)
+            plain = net.decoder(pyramid, net.dual(pyramid[3])).data
+        np.testing.assert_allclose(folded, plain, rtol=1e-4, atol=1e-4 * np.abs(plain).max())
+
+    def test_forward_with_grad_is_stem_then_merge(self):
+        # the training graph: logits and every gradient as from the plain
+        # stem, merge and stages, to the bit
+        rng = np.random.default_rng(33)
+        x = rng.normal(size=(2, 4, 32, 32, 32)).astype(np.float32)
+        upstream = Tensor(rng.normal(size=(2, 4, 32, 32, 32)).astype(np.float32))
+        runs = []
+        for plain in (False, True):
+            net = small_net(seed=5)
+            if plain:
+                pyramid = net.encode(net.frequency_stem(Tensor(x)))
+                logits = net.decoder(pyramid, net.dual(pyramid[3]))
+            else:
+                logits = net(Tensor(x))
+            (logits * upstream).sum().backward()
+            runs.append((logits.data, {p.name: p.grad for p in net.parameters()}))
+        (got, got_grads), (want, want_grads) = runs
+        assert got.tobytes() == want.tobytes()
+        assert got_grads.keys() == want_grads.keys()
+        for name, grad in want_grads.items():
+            assert got_grads[name].tobytes() == grad.tobytes(), name
+
+    def test_no_stem_output_without_grad(self, monkeypatch):
+        # with 1 MiB column blocks, a no-grad forward at 64^3 peaks below
+        # the 8 MiB of the stem's 8-channel output, which it never builds
+        monkeypatch.setattr(conv_module, "_COLUMN_BLOCK_BYTES", 1 << 20)
+        net = small_net()
+        x = Tensor(np.random.default_rng(34).normal(size=(1, 4, 64, 64, 64)).astype(np.float32))
+        stem_bytes = 2 * x.data.nbytes
+        with no_grad():
+            net(x)  # draws the weights
+            _, _, peak = traced(lambda: net(x))
+        assert peak < stem_bytes
 
 
 class TestParameters:

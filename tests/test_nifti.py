@@ -298,6 +298,40 @@ class TestLoadCase:
         back = nifti.load_volume(tmp_path / "v.nii.gz")
         assert np.array_equal(back.data, vol.data)
 
+    @pytest.mark.parametrize(
+        "split", [0, 500, -500], ids=["one-member", "short-first", "short-last"]
+    )
+    def test_gzip_members_and_zero_padding(self, tmp_path, split):
+        # a payload of many inflate chunks, split over two members with zero
+        # bytes after each; the short last member's trailer undersizes the
+        # output buffer, which must grow
+        vol = make_volume(shape=(60, 50, 40), seed=8)
+        raw = nifti.write_volume(vol)
+        assert len(raw) > 4 * nifti._INFLATE_CHUNK
+        parts = [raw[:split], raw[split:]] if split else [raw]
+        (tmp_path / "v.nii.gz").write_bytes(b"".join(gzip.compress(p) + bytes(7) for p in parts))
+        assert nifti._read_bytes(tmp_path / "v.nii.gz") == raw
+        assert np.array_equal(nifti.load_volume(tmp_path / "v.nii.gz").data, vol.data)
+
+    @pytest.mark.parametrize(
+        "damage, error",
+        [
+            (lambda gz: gz[:-1], TruncatedDataError),  # inside the trailer
+            (lambda gz: gz[: len(gz) // 2], TruncatedDataError),  # inside the deflate data
+            (lambda gz: gz + gz[:5], TruncatedDataError),  # a second member's header
+            (lambda gz: gz[:-8] + bytes([gz[-8] ^ 1]) + gz[-7:], HeaderError),  # CRC
+            (lambda gz: gz[:-4] + bytes([gz[-4] ^ 1]) + gz[-3:], HeaderError),  # length
+            (lambda gz: b"NOTGZ" + gz, HeaderError),
+            (lambda gz: gz + b"junk", HeaderError),
+        ],
+        ids=["trailer", "deflate", "member-header", "crc", "length", "not-gzip", "trailing-junk"],
+    )
+    def test_gzip_damage(self, tmp_path, damage, error):
+        gz = gzip.compress(nifti.write_volume(make_volume(seed=9)))
+        (tmp_path / "v.nii.gz").write_bytes(damage(gz))
+        with pytest.raises(error):
+            nifti.load_volume(tmp_path / "v.nii.gz")
+
     def test_decode_only_keeps_one_modality(self, tmp_path):
         self.write_case(tmp_path, with_seg=True)
         full = nifti.load_case(tmp_path, "sub1")
