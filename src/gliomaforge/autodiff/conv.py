@@ -8,8 +8,9 @@ kernels run both ops, forward and backward:
 - `_correlate`, im2col + matmul: conv's forward, tconv's input gradient.
   For one sample (inference, validation) it builds the columns over
   blocks of output depth planes, about `_COLUMN_BLOCK_BYTES` at a time,
-  into slices of one output; every output column is summed in the
-  one-shot matmul's order, so the result is the same to the bit.
+  into slices of one output. The blocks come from `_blas_blocks`, so each
+  output column is summed in the one-shot matmul's order and the result
+  is the same to the bit.
 - `_correlate_adjoint`, its adjoint, built from the columns of one leading
   kernel offset at a time, so no (N, C*k^3, L) array exists: conv's input
   gradient, tconv's forward. When stride == k and the windows tile the
@@ -55,6 +56,28 @@ _DEPTHWISE_BLOCK = 1 << 16
 # A BraTS-size stage-1 merge would otherwise build 1.7 GiB of columns.
 _COLUMN_BLOCK_BYTES = 16 << 20
 
+# Multiply-adds at or under which OpenBLAS runs a product through its
+# small-matrix kernel, which sums in another order than its blocked kernel:
+# with OpenBLAS 0.3.31, `A @ B[:, :n]` for A 8 x 2744 differs from
+# `(A @ B)[:, :n]` for n <= 45 and equals it from n = 46. numpy runs a
+# product with one row or column as gemv, which also sums differently.
+_BLAS_SMALL = 10**6
+
+
+def _blas_blocks(count, block, unit_cost, unit_len):
+    """Bounds splitting `count` units (depth planes) along one side of a
+    matrix product into blocks of at least `block` units, where a unit is
+    `unit_len` rows or columns and costs `unit_cost` multiply-adds. Each
+    block sums every entry as the whole product does: it costs more than
+    `_BLAS_SMALL` and has two rows or columns or more, unless the whole
+    product does not, which is then one block. A short last block joins
+    the one before it."""
+    least = max(_BLAS_SMALL // unit_cost + 1, -(-2 // unit_len))
+    bounds = list(range(0, count, max(block, least)))
+    if len(bounds) > 1 and count - bounds[-1] < least:
+        bounds.pop()
+    return bounds + [count]
+
 
 def _im2col(padded, k, stride):
     """(N,C,Dp,Hp,Wp) -> column matrix (N, C*k^3, L) and the out spatial dims."""
@@ -85,7 +108,7 @@ def _correlate(grid, w, stride, columns=None):
     """(N, C, D, H, W) grid, (S, C, k, k, k) weights -> (N, S, do, ho, wo).
     `columns` is the grid's `_im2col`, if the caller already made it; with
     none and N == 1, the columns are built a block of output depth planes
-    at a time."""
+    at a time (`_blas_blocks`), with the one-shot product's bits."""
     n, c = grid.shape[:2]
     s, k = w.shape[0], w.shape[2]
     w2 = w.reshape(s, c * k**3)
@@ -95,10 +118,10 @@ def _correlate(grid, w, stride, columns=None):
     do, ho, wo = ((size - k) // stride + 1 for size in grid.shape[2:])
     plane = ho * wo
     zb = max(1, _COLUMN_BLOCK_BYTES // (c * k**3 * plane * grid.itemsize))
+    bounds = _blas_blocks(do, zb, s * c * k**3 * plane, plane)
     out = np.empty((n, s, do, ho, wo), dtype=np.result_type(grid, w))
     flat = out.reshape(s, do * plane)
-    for z0 in range(0, do, zb):
-        z1 = min(z0 + zb, do)
+    for z0, z1 in zip(bounds, bounds[1:]):
         cols, _ = _im2col(grid[:, :, z0 * stride : (z1 - 1) * stride + k], k, stride)
         np.matmul(w2, cols[0], out=flat[:, z0 * plane : z1 * plane])
         del cols  # else it lives on while the next block's columns are made

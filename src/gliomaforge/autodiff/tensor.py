@@ -222,17 +222,14 @@ class Tensor:
 
     def gelu(self):
         """Exact (erf-based) GELU."""
-        from scipy.special import erf
-
-        inv_sqrt2 = self.data.dtype.type(1.0 / np.sqrt(2.0))
+        out, cdf = gelu_values(self.data)
         sqrt_2pi = self.data.dtype.type(np.sqrt(2.0 * np.pi))
-        cdf = 0.5 * (1.0 + erf(self.data * inv_sqrt2))
 
         def backward_fn(g):
             pdf = np.exp(-0.5 * self.data * self.data) / sqrt_2pi
             _accumulate(self, g * (cdf + self.data * pdf))
 
-        return Tensor._from_op(self.data * cdf, (self,), backward_fn)
+        return Tensor._from_op(out, (self,), backward_fn)
 
     def sigmoid(self):
         out_data = 1.0 / (1.0 + np.exp(-self.data))
@@ -319,6 +316,15 @@ class Tensor:
             _accumulate(other, _unbroadcast(self.data.swapaxes(-1, -2) @ g, other.shape))
 
         return Tensor._from_op(self.data @ other.data, (self, other), backward_fn)
+
+
+def gelu_values(x):
+    """Exact (erf-based) GELU of an array, and the normal CDF that scales x;
+    `Tensor.gelu` and graph-free forwards share it, so they share its bits."""
+    from scipy.special import erf
+
+    cdf = 0.5 * (1.0 + erf(x * x.dtype.type(1.0 / np.sqrt(2.0))))
+    return x * cdf, cdf
 
 
 def _accumulate(tensor, grad):

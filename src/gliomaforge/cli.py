@@ -137,7 +137,8 @@ def _map_cases(work, tasks, jobs, initializer=None, initargs=()):
 
 def _reference_cdfs(files):
     """Each modality's CDF over the pooled foreground of every reference file
-    in `files`, an `iter_case_files` stream."""
+    in `files`, an `iter_case_files` stream. The CDFs need no seg, so the
+    stream should check the segs from their headers (`decode=MODALITIES`)."""
     pooled = {mod: [] for mod in MODALITIES}
     for _, name, item in files:
         if name in pooled:
@@ -198,8 +199,10 @@ def cmd_harmonize(args) -> int:
     ref_paths, in_paths = _case_paths(args.ref_dir), _case_paths(args.in_dir)
     # --jobs 1 reads the reference and the inputs as one stream, so the
     # reader decodes the first input while the CDFs are built
-    paths = ref_paths + in_paths if args.jobs == 1 else ref_paths
-    with closing(read_ahead(iter_case_files(paths))) as files:
+    stream = iter_case_files(ref_paths, decode=MODALITIES)
+    if args.jobs == 1:
+        stream = chain(stream, iter_case_files(in_paths))
+    with closing(read_ahead(stream)) as files:
         cdfs = _reference_cdfs(islice(files, len(ref_paths)))
         Path(args.out).mkdir(parents=True, exist_ok=True)
         if args.jobs == 1:
@@ -368,18 +371,22 @@ def predict_case(
     postprocess: bool = True,
 ) -> SegmentationMask:
     """Harmonize (optional), normalize into one zero-padded input, forward,
-    argmax, crop, filter."""
-    dims = case.dims
+    argmax, crop, filter.
+
+    It takes each modality out of `case` as it normalizes it, so the case
+    is left without modalities and no raw volume lives on through the
+    forward, even though the caller still holds the case."""
+    dims, spacing = case.dims, case.modalities["t1"].spacing
     images = np.zeros((len(MODALITIES), *padded_dims(dims)), dtype=np.float32)
     crop = tuple(slice(0, s) for s in dims)
     for channel, mod in zip(images, MODALITIES):
-        vol = case.modalities[mod]
+        vol = case.modalities.pop(mod)
         if ref_cdfs is not None:
             vol = match_histogram(vol, ref_cdfs[mod], quantiles=quantiles)
         zscore_normalize(vol, out=channel[crop])
-    del vol  # a matched volume would otherwise live on through the forward
+    del vol  # the last volume would otherwise live on through the forward
     labels = predict_labels(model, images, dims)
-    mask = SegmentationMask(labels=labels, spacing=case.modalities["t1"].spacing)
+    mask = SegmentationMask(labels=labels, spacing=spacing)
     if postprocess:
         mask = keep_largest_per_class(mask)
     return mask
@@ -398,7 +405,10 @@ def cmd_predict(args) -> int:
         )
     case = load_case(args.in_dir, ids[0])
     # no read_ahead: a reader thread raised predict's peak RSS
-    cdfs = _reference_cdfs(iter_case_files(_case_paths(args.ref_dir))) if args.ref_dir else None
+    if args.ref_dir:
+        cdfs = _reference_cdfs(iter_case_files(_case_paths(args.ref_dir), decode=MODALITIES))
+    else:
+        cdfs = None
     mask = predict_case(
         model, case, ref_cdfs=cdfs, quantiles=quantiles, postprocess=not args.no_postprocess
     )

@@ -9,9 +9,12 @@ pyramid back to full-resolution class logits.
 
 Memory at inference is kept near the size of the input. Attention runs
 its queries in chunks of at most `_QUERY_CHUNK` tokens against the full
-reduced K/V, which gives the unchunked map's rows exactly. Two pairs of
-linear maps with nothing between them run as one layer each; checkpoints
-keep all four layers:
+reduced K/V, which gives the unchunked map's rows exactly. With grad off,
+Mix-FFN runs fc1, its depthwise taps, GELU and fc2 on one block of output
+depth planes at a time, so its hidden arrays, four times as wide as the
+tokens, exist for one block only; its output has the graph's bits. Two
+pairs of linear maps with nothing between them run as one layer each;
+checkpoints keep all four layers:
 
 - The decoder's last upsampler and its 1x1 head run as one transposed conv
   with `num_classes` outputs, whose weight and bias are composed from both
@@ -49,6 +52,8 @@ from .autodiff import (
     softmax,
     transpose_conv3d,
 )
+from .autodiff.conv import _DEPTHWISE_BLOCK, _blas_blocks, _depthwise
+from .autodiff.tensor import gelu_values
 from .errors import CheckpointError, ConfigError, ShapeError
 
 # Query tokens per attention chunk. A chunk's map is N x heads x 8192 x
@@ -376,7 +381,9 @@ class _Attention:
 
 class _MixFFN:
     """Pointwise expand, depthwise 3^3 conv over the grid, GELU, project back.
-    The conv reads the tokens channels last, so they are never permuted."""
+    The conv reads the tokens channels last, so they are never permuted.
+    With grad off it runs a block of output depth planes at a time
+    (`_planes`), so no hidden array of the whole grid exists."""
 
     def __init__(self, store, name, channels, expansion):
         hidden = channels * expansion
@@ -386,8 +393,42 @@ class _MixFFN:
         self.fc2 = _Linear(store, f"{name}.fc2", hidden, channels)
 
     def __call__(self, tokens, grid):
+        if not is_grad_enabled():
+            return Tensor(self._planes(tokens.data, grid))
         hidden = depthwise_conv3d_tokens(self.fc1(tokens), grid, self.dw_weight, self.dw_bias)
         return self.fc2(hidden.gelu())
+
+    def _planes(self, x, grid):
+        """The forward on (N, L, C) arrays, one block of output depth planes
+        at a time, as many as `_DEPTHWISE_BLOCK` holds. A block runs fc1 on
+        its planes and the plane either side that its taps read, then the
+        taps, GELU and fc2, whose rows go straight into the output. Each
+        value is summed in the graph's order (`_blas_blocks`), so the output
+        has the graph's bits."""
+        n, _, c = x.shape
+        d, h, w = grid
+        plane = h * w
+        w1, b1 = self.fc1.weight.data, self.fc1.bias.data
+        w2, b2 = self.fc2.weight.data, self.fc2.bias.data
+        hidden = w1.shape[1]
+        taps = np.ascontiguousarray(self.dw_weight.data.reshape(hidden, 27).T)[None]
+        out = np.empty((n, d * plane, c), dtype=np.result_type(x, w1, w2))
+        zb = max(1, _DEPTHWISE_BLOCK // (plane * hidden))
+        bounds = _blas_blocks(d, zb, plane * c * hidden, plane)
+        for i, (z0, z1) in product(range(n), zip(bounds, bounds[1:])):
+            lo, hi = max(z0 - 1, 0), min(z1 + 1, d)
+            pre = x[i, lo * plane : hi * plane] @ w1
+            pre += b1
+            padded = np.zeros((1, z1 - z0 + 2, h + 2, w + 2, hidden), dtype=pre.dtype)
+            padded[0, lo - z0 + 1 : hi - z0 + 1, 1:-1, 1:-1] = pre.reshape(hi - lo, h, w, hidden)
+            del pre
+            act = _depthwise(padded, taps, 3, 1, (z1 - z0, h, w)).reshape(-1, hidden)
+            del padded
+            act += self.dw_bias.data
+            rows = out[i, z0 * plane : z1 * plane]
+            np.matmul(gelu_values(act)[0], w2, out=rows)
+            rows += b2
+        return out
 
 
 class _Block:

@@ -530,16 +530,20 @@ def case_paths(cases) -> list[tuple[str, str, Path]]:
 
 
 def _load_file(case_id, name, path, first, decode, remap_label_4):
-    """One case file, checked against `first`, the grid of its case's first
+    """One case file, decoded if `decode` names it and otherwise its
+    `read_header`, checked against `first`, the grid of its case's first
     file (None for that file itself). Errors name the file."""
     try:
-        if name == "seg":
+        if name not in decode:
+            item = read_header(path)
+        elif name == "seg":
             item = load_mask(path, remap_label_4=remap_label_4)
-            _check_aligned(case_id, {MODALITIES[0]: first}, item)
         else:
-            item = load_volume(path) if name in decode else read_header(path)
-            if first is not None:
-                _check_aligned(case_id, {MODALITIES[0]: first, name: item}, None)
+            item = load_volume(path)
+        if name == "seg":
+            _check_aligned(case_id, {MODALITIES[0]: first}, item)
+        elif first is not None:
+            _check_aligned(case_id, {MODALITIES[0]: first, name: item}, None)
         return item
     except GliomaForgeError as err:
         raise type(err)(f"{path}: {err}") from err
@@ -557,16 +561,18 @@ def _case_items(paths, decode, remap_label_4):
         yield case_id, name, item
 
 
-def iter_case_files(paths):
+def iter_case_files(paths, decode: tuple[str, ...] = CASE_FILES):
     """Yield ``(case_id, name, item)`` for each ``(case_id, name, path)`` of
     `paths`, a `case_paths` list, as `load_case` reads them.
 
     `item` is a SegmentationMask for the seg (label 4 read as 3) and a
-    Volume for each modality. Each file is checked against the first of its
-    case (dims and spacing; the seg's dims) before it is yielded. Files are
-    read as they are asked for, so one decoded file is alive at a time.
+    Volume for each modality; a file `decode` does not name is checked from
+    its header alone (`read_header`), which is its item. Each file is
+    checked against the first of its case (dims and spacing; the seg's
+    dims) before it is yielded. Files are read as they are asked for, so
+    one decoded file is alive at a time.
     """
-    return _case_items(paths, MODALITIES, True)
+    return _case_items(paths, decode, True)
 
 
 def read_ahead(items):
@@ -606,7 +612,8 @@ def load_case(
     128x128x96 case (see `read_ahead`).
     """
     modalities, label = {}, None
-    for _, name, item in _case_items(case_paths([(directory, case_id)]), decode, remap_label_4):
+    files = _case_items(case_paths([(directory, case_id)]), (*decode, "seg"), remap_label_4)
+    for _, name, item in files:
         if name == "seg":
             label = item
         elif name in decode:

@@ -24,7 +24,7 @@ from .autodiff import (
 from .autodiff.gradcheck import gradcheck
 from .harmonize import EmpiricalCDF, HarmonizationMapping, build_cdf, ks_statistic, match_histogram
 from .metrics import _boundary, connected_components, dice, hd95, keep_largest_per_class
-from .model import GliomaForgeNet, ModelConfig, _StemInput, _to_grid, _to_tokens
+from .model import GliomaForgeNet, ModelConfig, _MixFFN, _StemInput, _Store, _to_grid, _to_tokens
 from .nifti import (
     DEFAULT_VOX_OFFSET,
     SegmentationMask,
@@ -268,6 +268,35 @@ def stem_merge_fold_check(model, x):
     )
 
 
+def random_mix_ffn(channels, expansion, seed):
+    """A float32 `_MixFFN` with every weight and bias random, so each term
+    of each sum counts."""
+    ffn = _MixFFN(_Store(seed, np.float32), "ffn", channels, expansion)
+    rng = np.random.default_rng(seed)
+    for p in (ffn.fc1.weight, ffn.fc1.bias, ffn.dw_weight, ffn.dw_bias, ffn.fc2.weight,
+              ffn.fc2.bias):
+        p.data = rng.normal(size=p.shape).astype(np.float32)
+    return ffn
+
+
+def mix_ffn_blocks_check(seed):
+    """The no-grad Mix-FFN, run a block of depth planes at a time, against
+    the graph, to the bit: at stage-1 widths in 2-plane blocks with a 1-plane
+    tail, and at stage-3 widths, whose short tail joins its block. A BLAS
+    whose row blocks sum otherwise than the whole product fails here."""
+    rng = np.random.default_rng(seed)
+    for channels, grid in ((32, (5, 16, 16)), (160, (12, 3, 3))):
+        ffn = random_mix_ffn(channels, 4, seed)
+        tokens = Tensor(rng.normal(size=(2, math.prod(grid), channels)).astype(np.float32))
+        graph = ffn(tokens, grid).data
+        with no_grad():
+            blocked = ffn(tokens, grid).data
+        _check(
+            blocked.tobytes() == graph.tobytes(),
+            f"no-grad Mix-FFN differs from its graph at {channels} channels on a {grid} grid",
+        )
+
+
 def suite_model_contract(seed):
     model = GliomaForgeNet(config=ModelConfig(**SMALL_MODEL), seed=seed)
     x = Tensor(np.random.default_rng(seed).normal(size=(1, 4, 32, 32, 32)).astype(np.float32))
@@ -294,6 +323,7 @@ def suite_model_contract(seed):
         "logits changed through a checkpoint save and load",
     )
     decoder_gradcheck(seed)
+    mix_ffn_blocks_check(seed)
     # every face has enough outputs that BLAS sums its product as it sums
     # the whole grid's (OpenBLAS has a separate kernel for small products)
     x = np.random.default_rng(seed).normal(size=(1, 4, 32, 64, 64)).astype(np.float32)

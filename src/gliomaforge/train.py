@@ -301,7 +301,13 @@ def predict_labels(model: GliomaForgeNet, images: np.ndarray, dims=None) -> np.n
     with no_grad():
         logits = model(Tensor(images[None]))
     crop = tuple(slice(0, s) for s in (grid if dims is None else dims))
-    return np.argmax(logits.data[0], axis=0)[crop].astype(np.uint8)
+    scores = logits.data[0][(slice(None), *crop)]
+    labels = np.empty(scores.shape[1:], dtype=np.uint8)
+    # a depth plane at a time: argmax over the class axis copies its input
+    # with that axis last, which for the whole grid is as large as the logits
+    for z in range(len(labels)):
+        labels[z] = np.argmax(scores[:, z], axis=0)
+    return labels
 
 
 def validation_dice(model: GliomaForgeNet, cases: list[TrainingCase]) -> float:

@@ -25,7 +25,7 @@ from gliomaforge.autodiff import (
     trilinear_resize,
 )
 from gliomaforge.autodiff import conv as conv_module
-from gliomaforge.autodiff.conv import _correlate, _correlate_adjoint
+from gliomaforge.autodiff.conv import _blas_blocks, _correlate, _correlate_adjoint
 from gliomaforge.errors import CheckpointError, ShapeError
 from gliomaforge.model import _to_grid, _to_tokens
 
@@ -467,6 +467,41 @@ class TestBlockedCorrelate:
         assert len(blocks) == -(-do // planes) > 1
         assert blocked.dtype == one_shot.dtype and blocked.shape == one_shot.shape
         assert blocked.tobytes() == one_shot.tobytes()
+
+    def test_short_tail_joins_the_block_before(self, monkeypatch):
+        # 9 output planes of 25 columns in blocks of 4: a 1-plane tail would
+        # be an 8 x 2744 x 25 product, under the BLAS small-matrix cutoff,
+        # which sums in another order; it joins the block before it
+        rng = np.random.default_rng(85)
+        grid = rng.normal(size=(1, 8, 15, 11, 11)).astype(np.float32)
+        w = rng.normal(size=(8, 8, 7, 7, 7)).astype(np.float32)
+        one_shot = _correlate(grid, w, 1, columns=conv_module._im2col(grid, 7, 1))
+        monkeypatch.setattr(conv_module, "_COLUMN_BLOCK_BYTES", 4 * 8 * 7**3 * 25 * 4)
+        blocks = []
+
+        def counting(padded, *args):
+            blocks.append(padded.shape[2] - 6)
+            return im2col(padded, *args)
+
+        im2col = conv_module._im2col
+        monkeypatch.setattr(conv_module, "_im2col", counting)
+        blocked = _correlate(grid, w, 1)
+        assert blocks == [4, 5]
+        assert blocked.tobytes() == one_shot.tobytes()
+
+    @pytest.mark.parametrize(
+        "count, block, unit_cost, unit_len, bounds",
+        [
+            (9, 4, 548_800, 25, [0, 4, 9]),  # a tail under the cutoff joins
+            (9, 4, 2_000_000, 25, [0, 4, 8, 9]),  # a tail above it stays
+            (9, 1, 300_000, 25, [0, 4, 9]),  # blocks grow past the cutoff
+            (3, 1, 300_000, 25, [0, 3]),  # the whole is under it: one block
+            (4, 1, 2_000_000, 1, [0, 2, 4]),  # no one-row blocks
+            (1, 1, 2_000_000, 1, [0, 1]),
+        ],
+    )
+    def test_blas_blocks(self, count, block, unit_cost, unit_len, bounds):
+        assert _blas_blocks(count, block, unit_cost, unit_len) == bounds
 
     def test_conv3d_holds_output_and_two_blocks(self, monkeypatch):
         # one-shot columns would be 2744 x 1800 floats, 18.8 MiB

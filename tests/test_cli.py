@@ -1,6 +1,7 @@
 """Tests for the command-line pipeline and config plumbing."""
 
 import argparse
+import gzip
 import os
 import pickle
 import shutil
@@ -35,7 +36,7 @@ from gliomaforge.config import (
     read_config,
     train_config_from,
 )
-from gliomaforge.errors import ConfigError
+from gliomaforge.errors import ConfigError, LabelError
 from gliomaforge.harmonize import build_cdf, match_histogram
 from gliomaforge.metrics import keep_largest_per_class, read_metrics_csv
 from gliomaforge.model import GliomaForgeNet, ModelConfig
@@ -441,6 +442,15 @@ class TestMapCases:
         assert list(results) == ["second"]
 
 
+def _corrupt_seg_payload(path):
+    """Label 9 in the first voxel of a uint8 seg file, whose header stays
+    valid: only decoding the payload finds the fault."""
+    gz = path.suffix == ".gz"
+    data = bytearray(gzip.decompress(path.read_bytes()) if gz else path.read_bytes())
+    data[nifti.DEFAULT_VOX_OFFSET] = 9
+    path.write_bytes(gzip.compress(bytes(data)) if gz else bytes(data))
+
+
 def _old_harmonize(ref_dir, in_dir, out_dir, compress, quantiles=256):
     """The per-case harmonize loop as it was before streaming: whole cases
     loaded, reference foregrounds pooled unsorted, one CDF per modality."""
@@ -565,6 +575,32 @@ class TestHarmonizeStreaming:
         assert len(list(out.glob("synth-000-*"))) == 5
         assert not list(out.glob("synth-001-*"))
         assert not list(out.glob("synth-002-*"))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("suffix", [".nii", ".nii.gz"], ids=["nii", "gz"])
+    def test_reference_seg_is_checked_from_its_header(
+        self, small_cohort, tmp_path, capsys, suffix, jobs
+    ):
+        # a reference seg's labels are never used, so a fault only decoding
+        # would find is no error; a header that does not fit its case still is
+        src = small_cohort / suffix
+        ref = tmp_path / "ref"
+        shutil.copytree(src / "ref", ref)
+        seg = ref / f"ref-001-seg{suffix}"
+        _corrupt_seg_payload(seg)
+        with pytest.raises(LabelError):
+            nifti.load_mask(seg)
+        want, got = tmp_path / "want", tmp_path / "got"
+        argv = ["harmonize", "--in", str(src / "in"), "--jobs", str(jobs)]
+        assert main(argv + ["--ref-dir", str(src / "ref"), "--out", str(want)]) == EXIT_OK
+        assert main(argv + ["--ref-dir", str(ref), "--out", str(got)]) == EXIT_OK
+        for path in want.iterdir():
+            assert (got / path.name).read_bytes() == path.read_bytes(), path.name
+        nifti.save_mask(seg, SegmentationMask(np.zeros((16, 17, 16))))
+        capsys.readouterr()
+        assert main(argv + ["--ref-dir", str(ref), "--out", str(tmp_path / "bad")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{seg}: case ref-001: label dims (16, 17, 16) != image dims (16, 16, 16)" in err
 
     @pytest.mark.parametrize("bad", ["ref-000-t1", "ref-001-flair"])
     def test_truncated_reference_is_a_data_error(self, small_cohort, tmp_path, capsys, bad):
@@ -819,6 +855,41 @@ class TestPredictCommand:
         cfg.write_text("quantiles = 64\n")
         assert main(argv + ["--config", str(cfg)]) == EXIT_OK
 
+    @pytest.mark.parametrize("ref", [False, True], ids=["raw", "ref"])
+    def test_raw_modalities_freed_before_the_forward(self, workspace, tmp_path, monkeypatch, ref):
+        loaded, alive = [], []
+
+        def loading(*args, **kwargs):
+            case = nifti.load_case(*args, **kwargs)
+            loaded.extend(weakref.ref(vol.data) for vol in case.modalities.values())
+            return case
+
+        def forward(model, images, dims):
+            alive.extend(data() is not None for data in loaded)
+            return predict_labels(model, images, dims)
+
+        monkeypatch.setattr(cli, "load_case", loading)
+        monkeypatch.setattr(cli, "predict_labels", forward)
+        argv = ["predict", "--ckpt", str(workspace["root"] / "pre.ck"),
+                "--in", str(self._case_dir(workspace, tmp_path)), "--out", str(tmp_path / "s.nii")]
+        assert main(argv + (["--ref-dir", str(workspace["ref"])] if ref else [])) == EXIT_OK
+        assert alive == [False] * 4
+
+    def test_reference_seg_is_checked_from_its_header(self, workspace, tmp_path, capsys):
+        argv = ["predict", "--ckpt", str(workspace["root"] / "pre.ck"),
+                "--in", str(self._case_dir(workspace, tmp_path))]
+        ref = tmp_path / "ref"
+        shutil.copytree(workspace["ref"], ref)
+        clean, corrupt = tmp_path / "clean.nii", tmp_path / "corrupt.nii"
+        assert main(argv + ["--ref-dir", str(workspace["ref"]), "--out", str(clean)]) == EXIT_OK
+        _corrupt_seg_payload(ref / "reference-seg.nii")
+        assert main(argv + ["--ref-dir", str(ref), "--out", str(corrupt)]) == EXIT_OK
+        assert corrupt.read_bytes() == clean.read_bytes()
+        nifti.save_mask(ref / "reference-seg.nii", SegmentationMask(np.zeros((32, 32, 31))))
+        assert main(argv + ["--ref-dir", str(ref), "--out", str(corrupt)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{ref / 'reference-seg.nii'}: case reference: label dims (32, 32, 31)" in err
+
     def test_multi_case_dir_needs_case_id(self, workspace, tmp_path):
         out = tmp_path / "seg.nii"
         rc = main(["predict", "--ckpt", str(workspace["root"] / "pre.ck"),
@@ -886,8 +957,8 @@ class TestPredictCase:
             if kind == "int16":
                 ref = _int16_case(ref)
             cdfs = {mod: build_cdf(vol.data) for mod, vol in ref.modalities.items()}
-        got = predict_case(net, case, ref_cdfs=cdfs)
         want = _old_predict_case(net, case, ref_cdfs=cdfs)
+        got = predict_case(net, case, ref_cdfs=cdfs)  # takes the modalities out of case
         assert got.labels.shape == (40, 36, 20)
         assert got.labels.tobytes() == want.labels.tobytes()
 
@@ -896,6 +967,7 @@ class TestPredictCase:
         # float32 input, a foreground mask and one modality's float64
         # foreground with the one temporary its std takes
         case = make_case("mem", shape=(60, 50, 40), seed=7)
+        foreground = max(int(np.count_nonzero(v.data)) for v in case.modalities.values())
         probe = _Probe()
         tracemalloc.start()
         try:
@@ -903,7 +975,6 @@ class TestPredictCase:
         finally:
             tracemalloc.stop()
         assert probe.input.shape == (1, 4, 64, 64, 64)
-        foreground = max(int(np.count_nonzero(v.data)) for v in case.modalities.values())
         voxels = 60 * 50 * 40
         bound = probe.input.nbytes + voxels + 2 * 8 * foreground + (256 << 10)
         assert probe.peak <= bound

@@ -18,7 +18,7 @@ from gliomaforge.model import (
     _Store,
     _to_tokens,
 )
-from gliomaforge.selftest import decoder_gradcheck, stem_merge_fold_check
+from gliomaforge.selftest import decoder_gradcheck, random_mix_ffn, stem_merge_fold_check
 
 SMALL = dict(
     stage_channels=[8, 16, 32, 64],
@@ -208,6 +208,44 @@ class TestMixFFN:
         with no_grad():
             out = ffn(tokens, (2, 2, 2))
         np.testing.assert_array_equal(out.data, 0.0)
+
+
+class TestBlockedMixFFN:
+    """With grad off, `_MixFFN` runs a block of output depth planes at a
+    time, and its output has the graph's bits."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize(
+        "channels, expansion, grid, blocks",
+        [
+            (32, 4, (1, 16, 16), [1]),  # default stage-1 widths; D = 1
+            (32, 4, (3, 8, 8), [3]),  # D under one block, and under the BLAS cutoff
+            (32, 4, (5, 16, 16), [2, 2, 1]),  # D not a multiple of the block
+            (160, 4, (12, 3, 3), [12]),  # stage-3 widths: a short tail joins its block
+            (256, 4, (2, 2, 1), [2]),  # default stage-4 widths, 64x64x32 input
+            (8, 2, (3, 96, 96), [1, 1, 1]),  # SMALL stage-1 widths, one plane a block
+            (8, 2, (4, 8, 8), [4]),  # SMALL, the whole product under the cutoff
+            (16, 2, (8, 8, 4), [8]),  # SMALL stage-2 widths, 64x64x32 input
+        ],
+    )
+    def test_equals_graph(self, monkeypatch, n, channels, expansion, grid, blocks):
+        ffn = random_mix_ffn(channels, expansion, seed=n)
+        rng = np.random.default_rng(30 + n)
+        tokens = Tensor(rng.normal(size=(n, int(np.prod(grid)), channels)).astype(np.float32))
+        graph = ffn(tokens, grid).data
+        seen = []
+
+        def counting(padded, taps, k, stride, out_spatial):
+            seen.append(out_spatial[0])
+            return depthwise(padded, taps, k, stride, out_spatial)
+
+        depthwise = model_module._depthwise
+        monkeypatch.setattr(model_module, "_depthwise", counting)
+        with no_grad():
+            blocked = ffn(tokens, grid).data
+        assert seen == blocks * n
+        assert blocked.dtype == graph.dtype and blocked.shape == graph.shape
+        assert blocked.tobytes() == graph.tobytes()
 
 
 class TestForward:
@@ -469,6 +507,27 @@ class TestMixFFNMemory:
         block = 8 * 6 * hidden * 4  # one output depth plane, > 4096 elements
         assert conv_out.data.nbytes == 96 << 10
         assert whole <= fc1 + padded + conv_out.data.nbytes + block + gelu_fc2 + (16 << 10)
+
+
+    def test_no_grad_forward_holds_output_and_block_buffers(self):
+        # Default stage-1 widths at 16x16 planes: a block is 2 output planes
+        # of 32 768 hidden values. It holds fc1's output and a padded copy of
+        # it, each with the block's halo planes, then the taps' output and
+        # GELU's arrays; fc2 writes straight into the output. The graph
+        # would hold D planes of each: 4 MiB at D = 32.
+        ffn = random_mix_ffn(32, 4, seed=5)
+        rng = np.random.default_rng(18)
+        extra = {}
+        for d in (8, 32):
+            grid = (d, 16, 16)
+            tokens = Tensor(rng.normal(size=(1, d * 256, 32)).astype(np.float32))
+            with no_grad():
+                ffn(tokens, grid)  # imports GELU's erf
+                out, _, peak = traced(lambda: ffn(tokens, grid))
+            extra[d] = peak - out.data.nbytes
+        padded_block = 4 * 18 * 18 * 128 * 4
+        assert extra[32] <= 3 * padded_block
+        assert extra[32] <= extra[8] + (16 << 10)
 
 
 class TestDeferredDraw:

@@ -1,6 +1,7 @@
 """Tests for losses, AdamW, the cosine schedule, augmentation and fit."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from gliomaforge.train import (
     fit,
     mean_foreground_dice,
     one_hot,
+    predict_labels,
     random_crop,
     sample_augmentation,
     training_case,
@@ -484,6 +486,42 @@ class TestMeanForegroundDice:
         pred[1:3] = 1
         # class 1 dice 0.5, classes 2 and 3 both empty count as 1
         assert mean_foreground_dice(pred, truth) == pytest.approx((0.5 + 1 + 1) / 3)
+
+
+class _FixedLogits:
+    """A model stand-in that returns the same logits for any input."""
+
+    def __init__(self, logits):
+        self.logits = logits
+
+    def __call__(self, x):
+        return Tensor(self.logits)
+
+
+class TestPredictLabels:
+    def test_argmax_keeps_first_maximum(self):
+        rng = np.random.default_rng(3)
+        # few values, so many voxels tie across classes; a NaN wins its voxel
+        logits = rng.integers(0, 3, size=(1, 4, 32, 32, 32)).astype(np.float32)
+        logits[0, 2, 5, 6, 7] = np.nan
+        labels = predict_labels(_FixedLogits(logits), np.zeros((4, 30, 32, 31)), (30, 32, 31))
+        want = np.argmax(logits[0], axis=0)[:30, :, :31].astype(np.uint8)
+        assert labels.dtype == np.uint8 and labels.flags.c_contiguous
+        assert labels.tobytes() == want.tobytes()
+        assert labels[5, 6, 7] == 2
+
+    def test_argmax_holds_no_whole_grid_copy(self):
+        # argmax over the class axis of the whole grid would copy the logits
+        logits = np.random.default_rng(4).normal(size=(1, 4, 64, 64, 64)).astype(np.float32)
+        model, images = _FixedLogits(logits), np.zeros((4, 64, 64, 64), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            labels = predict_labels(model, images)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        plane = 4 * 64 * 64 * 8  # one depth plane's copy and int64 argmax, generously
+        assert peak <= labels.nbytes + 2 * plane
 
 
 class TestFit:
