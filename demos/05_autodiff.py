@@ -3,6 +3,8 @@ differences.
 
 Tensors record their parents during the forward pass; backward() walks
 the graph once in reverse topological order and accumulates gradients.
+It releases the graph as it goes, so only leaves keep `.grad`, and a
+graph runs backward once: a second backward() raises GraphReleasedError.
 """
 
 import numpy as np

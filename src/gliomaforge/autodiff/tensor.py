@@ -5,6 +5,14 @@ requires gradients, records the parents and a closure that maps the
 upstream gradient to parent gradients. backward() runs a reverse
 topological sweep from a scalar loss and accumulates into .grad.
 
+backward() releases the graph as it sweeps it: each node it reaches drops
+its closure, its parents and its upstream gradient before the closure
+runs, so an intermediate's saved arrays are freed once every node that
+read them has run, and each intermediate gradient once it has been passed
+on. Only leaves keep `.grad`; a non-leaf's is None afterwards. A graph
+runs backward once: a second sweep that reaches a released node raises
+GraphReleasedError instead of summing into gradients already given out.
+
 Broadcasting is limited to numpy's size-1 rules. Compute stays in the
 dtype of the operands, so the same graph code runs in float32 for
 training and float64 for finite-difference checks. A scalar float
@@ -19,7 +27,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from ..errors import ShapeError
+from ..errors import GraphReleasedError, ShapeError
 
 _grad_enabled = True
 
@@ -56,6 +64,7 @@ class Tensor:
     """Dense array with optional gradient tracking."""
 
     __array_priority__ = 100
+    _released = False  # set once backward has swept this node
 
     def __init__(self, data, requires_grad=False):
         arr = np.asarray(data)
@@ -107,6 +116,8 @@ class Tensor:
         return out
 
     def backward(self):
+        """Accumulate d(self)/d(leaf) into every leaf's .grad, releasing
+        the graph as the sweep goes (see the module docstring)."""
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {self.shape}")
         topo = []
@@ -119,15 +130,26 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._released:
+                raise GraphReleasedError(
+                    f"backward reached {node!r} of a graph that backward already used"
+                )
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
                 if id(parent) not in seen:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward_fn is not None and node.grad is not None:
-                node._backward_fn(node.grad)
+        # popping drops the sweep's own reference to each node as it runs
+        while topo:
+            node = topo.pop()
+            backward_fn, grad = node._backward_fn, node.grad
+            if backward_fn is None:
+                continue  # a leaf keeps its gradient
+            node._backward_fn, node._parents, node.grad = None, (), None
+            node._released = True
+            if grad is not None:
+                backward_fn(grad)
 
     # -- elementwise -------------------------------------------------------
 

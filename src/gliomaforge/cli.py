@@ -403,7 +403,7 @@ def cmd_predict(args) -> int:
         raise ConfigError(
             f"{args.in_dir} holds {len(ids)} cases; pick one with --case-id"
         )
-    case = load_case(args.in_dir, ids[0])
+    case = load_case(args.in_dir, ids[0], decode=MODALITIES)
     # no read_ahead: a reader thread raised predict's peak RSS
     if args.ref_dir:
         cdfs = _reference_cdfs(iter_case_files(_case_paths(args.ref_dir), decode=MODALITIES))

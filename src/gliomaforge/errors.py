@@ -45,6 +45,10 @@ class ShapeError(GliomaForgeError):
     """Tensor/volume shapes incompatible with the requested operation."""
 
 
+class GraphReleasedError(GliomaForgeError):
+    """backward() reached a graph that an earlier backward() already used."""
+
+
 class InsufficientDataError(GliomaForgeError):
     """Too few samples for the requested fit (n < 2, n < k, ...)."""
 

@@ -597,26 +597,30 @@ def read_ahead(items):
 
 
 def load_case(
-    directory, case_id: str, remap_label_4: bool = True, decode: tuple[str, ...] = MODALITIES
+    directory, case_id: str, remap_label_4: bool = True, decode: tuple[str, ...] = CASE_FILES
 ) -> MultiModalCase:
     """Assemble a MultiModalCase from ``<case_id>-<name>.nii[.gz]`` files.
 
     All four modalities must be present, whole and aligned; ``<case_id>-seg``
-    is optional. Only the modalities in `decode` are decoded and kept in the
-    case; the others pass the same checks from their headers (`read_header`).
+    is optional. Only the files in `decode` (modalities and "seg") are
+    decoded and kept in the case; the others pass the same checks from their
+    headers (`read_header`), and an undecoded seg leaves `label` None.
     Raises FileNotFoundError for a missing modality, AlignmentError for
-    dim/spacing mismatches and LabelError for out-of-range labels.
+    dim/spacing mismatches and LabelError for out-of-range labels in a
+    decoded seg.
 
     It reads in the caller's thread: one case leaves no work to overlap a
     read with, and a reader thread cost `predict` 25 MiB of peak RSS on a
     128x128x96 case (see `read_ahead`).
     """
     modalities, label = {}, None
-    files = _case_items(case_paths([(directory, case_id)]), (*decode, "seg"), remap_label_4)
+    files = _case_items(case_paths([(directory, case_id)]), decode, remap_label_4)
     for _, name, item in files:
+        if name not in decode:
+            continue
         if name == "seg":
             label = item
-        elif name in decode:
+        else:
             modalities[name] = item
     return MultiModalCase(case_id=case_id, modalities=modalities, label=label)
 

@@ -117,9 +117,13 @@ def dice_loss(probs: Tensor, target: Tensor) -> Tensor:
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean voxelwise negative log softmax probability of the true class."""
-    target = _onehot_nchw(labels)
+    return _cross_entropy(logits, _onehot_nchw(labels))
+
+
+def _cross_entropy(logits: Tensor, target: np.ndarray) -> Tensor:
+    """`cross_entropy` against the labels' one-hot `target` (`_onehot_nchw`)."""
     if logits.shape != target.shape:
-        raise ConfigError(f"logits {logits.shape} vs labels {labels.shape}")
+        raise ConfigError(f"logits {logits.shape} vs one-hot labels {target.shape}")
     shift = Tensor(np.max(logits.data, axis=1, keepdims=True))
     shifted = logits - shift
     log_norm = shifted.exp().sum(axis=1, keepdims=True).log()
@@ -128,8 +132,9 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 
 def composite_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
+    target = _onehot_nchw(labels)  # one one-hot grid serves both terms
     probs = softmax(logits, axis=1)
-    return dice_loss(probs, Tensor(_onehot_nchw(labels))) + cross_entropy(logits, labels)
+    return dice_loss(probs, Tensor(target)) + _cross_entropy(logits, target)
 
 
 # -- optimizer and schedule ------------------------------------------------
@@ -346,6 +351,9 @@ def fit(
         best_epoch=-1,
     )
     stale = 0
+    # gradients are zeroed after each step rather than before the next, so
+    # validation and the next batch's forward run without the last step's
+    model.zero_grad()
     for epoch in range(epochs):
         lr = cosine_lr(epoch, epochs, config.lr)
         order = rng.permutation(len(train_cases))
@@ -360,7 +368,6 @@ def fit(
                 labels.append(lab)
             x = Tensor(np.stack(images))
             y = np.stack(labels)
-            model.zero_grad()
             loss = composite_loss(model(x), y)
             value = loss.item()
             if not math.isfinite(value):
@@ -369,6 +376,7 @@ def fit(
                 )
             loss.backward()
             optimizer.step(lr=lr)
+            model.zero_grad()
             losses.append(value)
         val = validation_dice(model, val_cases)
         best.log.append(
@@ -382,9 +390,8 @@ def fit(
         if val > best.best_val_dice:
             best.best_val_dice = val
             best.best_epoch = epoch
-            best.best_params = {
-                name: p.data.copy() for name, p in model.named_parameters().items()
-            }
+            for name, p in model.named_parameters().items():
+                np.copyto(best.best_params[name], p.data)
             stale = 0
         else:
             stale += 1

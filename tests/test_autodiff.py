@@ -1,6 +1,7 @@
 """Tensor ops, gradients, spatial kernels, and the checkpoint format."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from gliomaforge.autodiff import (
 )
 from gliomaforge.autodiff import conv as conv_module
 from gliomaforge.autodiff.conv import _blas_blocks, _correlate, _correlate_adjoint
-from gliomaforge.errors import CheckpointError, ShapeError
+from gliomaforge.errors import CheckpointError, GraphReleasedError, ShapeError
 from gliomaforge.model import _to_grid, _to_tokens
 
 
@@ -754,6 +755,32 @@ class TestBackward:
             y = (x * 2.0).sum()
         assert not y.requires_grad
         assert y._parents == ()
+
+    def test_backward_releases_the_graph(self):
+        x = Tensor(np.arange(1.0, 4.0), requires_grad=True)
+        w = Tensor(np.full(3, 0.5), requires_grad=True)
+        hidden = x * w
+        saved = weakref.ref(hidden.data)  # exp's closure reads it
+        out = hidden.exp()
+        loss = out.sum()
+        del hidden
+        loss.backward()
+        assert saved() is None
+        assert out.grad is None and loss.grad is None
+        assert out._parents == () and out._backward_fn is None
+        np.testing.assert_allclose(x.grad, 0.5 * np.exp(0.5 * np.arange(1.0, 4.0)))
+        np.testing.assert_allclose(w.grad, np.arange(1.0, 4.0) * np.exp(0.5 * np.arange(1.0, 4.0)))
+
+    def test_second_backward_raises(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        loss = ((x * 2.0) * 3.0).sum()
+        loss.backward()
+        np.testing.assert_array_equal(x.grad, [6.0, 6.0, 6.0])
+        with pytest.raises(GraphReleasedError, match="already used"):
+            loss.backward()
+        with pytest.raises(GraphReleasedError, match="already used"):
+            (loss * 2.0).backward()  # a new graph over a released node
+        np.testing.assert_array_equal(x.grad, [6.0, 6.0, 6.0])
 
     def test_deterministic_forward_backward(self):
         def run():

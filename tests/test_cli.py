@@ -680,7 +680,8 @@ class TestFeaturesCommand:
         "fault,named",
         [("missing-t2", "bad-t2.nii"), ("t2-dims", "case bad: modality dims differ"),
          ("t2-spacing", "case bad: modality spacings differ"),
-         ("truncated-t2", "payload truncated"), ("seg-label-5", "labels outside {0,1,2,3}")],
+         ("truncated-t2", "payload truncated"),
+         ("seg-dims", "case bad: label dims (8, 8, 9) != image dims (8, 8, 8)")],
     )
     def test_unchosen_file_faults_are_data_errors(self, tmp_path, capsys, fault, named):
         # features decodes only FLAIR; the other files are still checked,
@@ -698,15 +699,23 @@ class TestFeaturesCommand:
         elif fault == "truncated-t2":
             t2.write_bytes(t2.read_bytes()[:-1])
         else:
-            labels = case.label.labels.copy()
-            labels[0, 0, 0] = 5
-            (tmp_path / "bad-seg.nii").write_bytes(b"".join(nifti._encode(labels, case.spacing, 2)))
+            nifti.save_mask(tmp_path / "bad-seg.nii", SegmentationMask(np.zeros((8, 8, 9))))
         rc = main(["features", "--in", str(tmp_path), "--out", str(tmp_path / "f.csv")])
         assert rc == EXIT_DATA
         err = capsys.readouterr().err
         assert named in err
-        assert str(tmp_path / ("bad-seg.nii" if fault == "seg-label-5" else "bad-t2.nii")) in err
+        assert str(tmp_path / ("bad-seg.nii" if fault == "seg-dims" else "bad-t2.nii")) in err
         assert not (tmp_path / "f.csv").exists()
+
+    def test_seg_payload_is_not_decoded(self, tmp_path):
+        # features reads no label, so a fault only decoding the seg would
+        # find is no error
+        save_case(tmp_path / "in", make_case("case", shape=(8, 8, 8), seed=2))
+        argv = ["features", "--in", str(tmp_path / "in"), "--out"]
+        assert main(argv + [str(tmp_path / "clean.csv")]) == EXIT_OK
+        _corrupt_seg_payload(tmp_path / "in" / "case-seg.nii")
+        assert main(argv + [str(tmp_path / "corrupt.csv")]) == EXIT_OK
+        assert (tmp_path / "corrupt.csv").read_bytes() == (tmp_path / "clean.csv").read_bytes()
 
     def test_unknown_config_modality_is_data_error(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
@@ -776,6 +785,17 @@ class TestTrainingCommands:
                    "--config", str(cfg), "--epochs", "1"])
         assert rc == EXIT_DATA
         assert "gliomaforge: error:" in capsys.readouterr().err
+
+    def test_bad_seg_payload_is_data_error(self, workspace, tmp_path, capsys):
+        data = tmp_path / "harm"
+        shutil.copytree(workspace["harm"], data)
+        _corrupt_seg_payload(data / "synth-001-seg.nii")
+        rc = main(["pretrain", "--data", str(data), "--out", str(tmp_path / "o.ck"),
+                   "--config", str(workspace["cfg"]), "--epochs", "1"])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{data / 'synth-001-seg.nii'}: mask contains labels outside" in err
+        assert not (tmp_path / "o.ck").exists()
 
     def test_finetune_missing_checkpoint_is_data_error(self, workspace, tmp_path):
         rc = main(
@@ -889,6 +909,20 @@ class TestPredictCommand:
         assert main(argv + ["--ref-dir", str(ref), "--out", str(corrupt)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert f"{ref / 'reference-seg.nii'}: case reference: label dims (32, 32, 31)" in err
+
+    def test_input_seg_is_checked_from_its_header(self, workspace, tmp_path, capsys):
+        # predict reads no label of its input case either
+        case_dir = self._case_dir(workspace, tmp_path)
+        argv = ["predict", "--ckpt", str(workspace["root"] / "pre.ck"), "--in", str(case_dir)]
+        clean, corrupt = tmp_path / "clean.nii", tmp_path / "corrupt.nii"
+        assert main(argv + ["--out", str(clean)]) == EXIT_OK
+        seg = case_dir / "synth-000-seg.nii"
+        _corrupt_seg_payload(seg)
+        assert main(argv + ["--out", str(corrupt)]) == EXIT_OK
+        assert corrupt.read_bytes() == clean.read_bytes()
+        nifti.save_mask(seg, SegmentationMask(np.zeros((32, 32, 31))))
+        assert main(argv + ["--out", str(corrupt)]) == EXIT_DATA
+        assert f"{seg}: case synth-000: label dims (32, 32, 31)" in capsys.readouterr().err
 
     def test_multi_case_dir_needs_case_id(self, workspace, tmp_path):
         out = tmp_path / "seg.nii"

@@ -338,8 +338,10 @@ class TestLoadCase:
         flair = nifti.load_case(tmp_path, "sub1", decode=("flair",))
         assert list(flair.modalities) == ["flair"]
         assert np.array_equal(flair.modalities["flair"].data, full.modalities["flair"].data)
-        assert np.array_equal(flair.label.labels, full.label.labels)
+        assert flair.label is None
         assert flair.dims == full.dims and flair.spacing == full.spacing
+        with_seg = nifti.load_case(tmp_path, "sub1", decode=("flair", "seg"))
+        assert np.array_equal(with_seg.label.labels, full.label.labels)
 
     @pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
     def test_read_header_checks_payload_length(self, tmp_path, suffix):
