@@ -2,8 +2,8 @@
 finetune, predict, evaluate, selftest.
 
 Exit codes: 0 success, 1 usage error (or selftest failure), 2 data error.
-Every stochastic subcommand takes --seed; without it the config file's
-`seed`, then the GLIOMAFORGE_SEED environment variable, then 42 apply.
+The seeded subcommands take --seed; without it the config file's `seed`,
+then the GLIOMAFORGE_SEED environment variable, then 42 apply.
 All file outputs are written to a temp name and renamed into place, so an
 interrupted run never leaves a partial artifact; `harmonize` renames the
 files of a case into place together, once all of them have been read.
@@ -14,6 +14,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing, contextmanager
+from dataclasses import fields
 from functools import partial
 from itertools import chain, groupby, islice
 from operator import itemgetter
@@ -31,7 +32,7 @@ from .metrics import (
     summarize,
     write_metrics_csv,
 )
-from .model import GliomaForgeNet
+from .model import GliomaForgeNet, ModelConfig
 from .nifti import (
     MODALITIES,
     MultiModalCase,
@@ -108,14 +109,35 @@ def atomic_output(path):
         yield stage(path)
 
 
+# The keys some subcommand reads; `train.seed` is not one, as the top-level
+# `seed` is the one seed key.
+CONFIG_KEYS = frozenset(
+    ["seed", "quantiles", "modality", "bin_width", "clusters", "components", "folds"]
+    + [f"train.{f.name}" for f in fields(TrainConfig) if f.name != "seed"]
+    + [f"model.{f.name}" for f in fields(ModelConfig)]
+)
+
+
 def _load_config(args) -> dict[str, str]:
-    path = getattr(args, "config", None)
-    return cfgmod.read_config(path) if path else {}
+    """The keys of `--config`, if given; a key outside CONFIG_KEYS is a
+    ConfigError that names it."""
+    if args.config is None:
+        return {}
+    config = cfgmod.read_config(args.config)
+    if unknown := sorted(config.keys() - CONFIG_KEYS):
+        hint = "; the one seed key is the top-level 'seed'" if "train.seed" in unknown else ""
+        names = ", ".join(map(repr, unknown))
+        raise ConfigError(f"{args.config}: unknown config key(s) {names}{hint}")
+    return config
 
 
 def resolve_seed(args, config) -> int:
     source, key = (config, "seed") if "seed" in config else (os.environ, "GLIOMAFORGE_SEED")
-    return cfgmod.option(args.seed, source, key, DEFAULT_SEED)
+    seed = cfgmod.option(args.seed, source, key, DEFAULT_SEED)
+    if seed < 0:
+        origin = "--seed" if args.seed is not None else repr(key)
+        raise ConfigError(f"seed {seed} from {origin} must be non-negative")
+    return seed
 
 
 def _map_cases(work, tasks, jobs, initializer=None, initargs=()):
@@ -295,14 +317,14 @@ def _holdout(ids, seed):
     return [ids[i] for i in order[n_val:]], [ids[i] for i in order[:n_val]]
 
 
-def _load_model(args, config, seed) -> GliomaForgeNet:
+def _load_model(args, config) -> GliomaForgeNet:
     """The model in `--ckpt`, built from `<ckpt>.cfg` if present, else from
-    the `model.*` keys of `--config`."""
+    the `model.*` keys of `--config`; unseeded, as the checkpoint sets every weight."""
     ckpt_cfg = Path(str(args.ckpt) + ".cfg")
     model_cfg = cfgmod.model_config_from(
         cfgmod.read_config(ckpt_cfg) if ckpt_cfg.exists() else config
     )
-    model = GliomaForgeNet(config=model_cfg, seed=seed)
+    model = GliomaForgeNet(config=model_cfg)
     model.load(args.ckpt)
     return model
 
@@ -338,7 +360,7 @@ def cmd_pretrain(args) -> int:
 def cmd_finetune(args) -> int:
     config, train_cfg, epochs = _train_common(args, "epochs_finetune")
     ids = list_case_ids(args.data)
-    model = _load_model(args, config, train_cfg.seed)
+    model = _load_model(args, config)
     if args.folds:
         assignment = read_folds_csv(args.folds)
         fold_of = dict(zip(assignment.case_ids, assignment.folds))
@@ -397,7 +419,7 @@ def cmd_predict(args) -> int:
         raise ConfigError("--quantiles sets histogram matching, which needs --ref-dir")
     config = _load_config(args)
     quantiles = cfgmod.option(args.quantiles, config, "quantiles", DEFAULT_QUANTILES)
-    model = _load_model(args, config, resolve_seed(args, config))
+    model = _load_model(args, config)
     ids = [args.case_id] if args.case_id else list_case_ids(args.in_dir)
     if len(ids) > 1:
         raise ConfigError(
@@ -450,8 +472,12 @@ def build_parser() -> _Parser:
     def add(name, func, helptext):
         p = sub.add_parser(name, help=helptext)
         p.set_defaults(func=func)
-        p.add_argument("--config", help="INI-style key=value config file")
-        p.add_argument("--seed", type=int, help="override the global seed")
+        if name != "evaluate":
+            p.add_argument("--config", help="INI-style key=value config file")
+        if name in ("stratify", "pretrain", "finetune", "selftest"):
+            p.add_argument("--seed", type=int, help="override the global seed")
+        elif name in ("harmonize", "predict"):  # unread: perfbench/run.py passes it
+            p.add_argument("--seed", type=int, help=argparse.SUPPRESS)
         return p
 
     p = add("harmonize", cmd_harmonize, "histogram-match a cohort onto a reference")
@@ -523,6 +549,8 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise ConfigError(f"--jobs {args.jobs} must be at least 1")
         return args.func(args)
     except GliomaForgeError as err:
         print(f"gliomaforge: error: {err}", file=sys.stderr)

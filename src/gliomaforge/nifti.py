@@ -529,7 +529,7 @@ def case_paths(cases) -> list[tuple[str, str, Path]]:
     return plan
 
 
-def _load_file(case_id, name, path, first, decode, remap_label_4):
+def _load_file(case_id, name, path, first, decode):
     """One case file, decoded if `decode` names it and otherwise its
     `read_header`, checked against `first`, the grid of its case's first
     file (None for that file itself). Errors name the file."""
@@ -537,7 +537,7 @@ def _load_file(case_id, name, path, first, decode, remap_label_4):
         if name not in decode:
             item = read_header(path)
         elif name == "seg":
-            item = load_mask(path, remap_label_4=remap_label_4)
+            item = load_mask(path)
         else:
             item = load_volume(path)
         if name == "seg":
@@ -547,18 +547,6 @@ def _load_file(case_id, name, path, first, decode, remap_label_4):
         return item
     except GliomaForgeError as err:
         raise type(err)(f"{path}: {err}") from err
-
-
-def _case_items(paths, decode, remap_label_4):
-    """The files of `iter_case_files`, read one by one as they are asked for."""
-    for case_id, name, path in paths:
-        starts_case = name == MODALITIES[0]
-        item = _load_file(
-            case_id, name, path, None if starts_case else first, decode, remap_label_4
-        )
-        if starts_case:  # the grid its case's later files must match
-            first = getattr(item, "header", item)
-        yield case_id, name, item
 
 
 def iter_case_files(paths, decode: tuple[str, ...] = CASE_FILES):
@@ -572,7 +560,12 @@ def iter_case_files(paths, decode: tuple[str, ...] = CASE_FILES):
     dims) before it is yielded. Files are read as they are asked for, so
     one decoded file is alive at a time.
     """
-    return _case_items(paths, decode, True)
+    for case_id, name, path in paths:
+        starts_case = name == MODALITIES[0]
+        item = _load_file(case_id, name, path, None if starts_case else first, decode)
+        if starts_case:  # the grid its case's later files must match
+            first = getattr(item, "header", item)
+        yield case_id, name, item
 
 
 def read_ahead(items):
@@ -596,9 +589,7 @@ def read_ahead(items):
         pool.shutdown(cancel_futures=True)
 
 
-def load_case(
-    directory, case_id: str, remap_label_4: bool = True, decode: tuple[str, ...] = CASE_FILES
-) -> MultiModalCase:
+def load_case(directory, case_id: str, decode: tuple[str, ...] = CASE_FILES) -> MultiModalCase:
     """Assemble a MultiModalCase from ``<case_id>-<name>.nii[.gz]`` files.
 
     All four modalities must be present, whole and aligned; ``<case_id>-seg``
@@ -614,8 +605,7 @@ def load_case(
     128x128x96 case (see `read_ahead`).
     """
     modalities, label = {}, None
-    files = _case_items(case_paths([(directory, case_id)]), decode, remap_label_4)
-    for _, name, item in files:
+    for _, name, item in iter_case_files(case_paths([(directory, case_id)]), decode):
         if name not in decode:
             continue
         if name == "seg":

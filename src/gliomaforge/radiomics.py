@@ -17,31 +17,12 @@ from .nifti import MultiModalCase, Volume
 
 DEFAULT_BIN_WIDTH = 25.0
 
-# Canonical feature order; also the CSV column order after case_id.
-FEATURE_NAMES = (
-    "energy",
-    "total_energy",
-    "entropy",
-    "minimum",
-    "p10",
-    "p90",
-    "maximum",
-    "mean",
-    "median",
-    "interquartile_range",
-    "range",
-    "mean_absolute_deviation",
-    "robust_mean_absolute_deviation",
-    "root_mean_squared",
-    "skewness",
-    "kurtosis",
-    "variance",
-    "uniformity",
-)
-
 
 @dataclass(frozen=True)
 class FeatureVector:
+    """One case's features; the field order after `case_id` is the canonical
+    feature order, and the CSV column order."""
+
     case_id: str
     energy: float
     total_energy: float
@@ -67,7 +48,7 @@ class FeatureVector:
         return tuple(getattr(self, name) for name in FEATURE_NAMES)
 
 
-assert tuple(f.name for f in fields(FeatureVector)[1:]) == FEATURE_NAMES
+FEATURE_NAMES = tuple(f.name for f in fields(FeatureVector)[1:])
 
 
 def discretize(values: np.ndarray, bin_width: float = DEFAULT_BIN_WIDTH) -> np.ndarray:

@@ -120,6 +120,17 @@ class TestUsage:
         rc = main(["features", "--in", str(tmp_path / "nope"), "--out", str(tmp_path / "f.csv")])
         assert rc == EXIT_DATA
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["features", "--in", "d", "--out", "o", "--seed", "1"],
+         ["evaluate", "--pred", "p", "--gt", "g", "--out", "o", "--seed", "1"],
+         ["evaluate", "--pred", "p", "--gt", "g", "--out", "o", "--config", "x.cfg"]],
+        ids=["features-seed", "evaluate-seed", "evaluate-config"],
+    )
+    def test_option_nothing_reads_is_usage_error(self, capsys, argv):
+        assert main(argv) == EXIT_USAGE
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
 
 class TestSeedResolution:
     def _args(self, seed=None):
@@ -206,6 +217,41 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             model_config_from({"model.hidden_layers": "3"})
 
+    @pytest.mark.parametrize("command", ["pretrain", "finetune"])
+    def test_train_seed_key_is_data_error(self, tmp_path, capsys, command):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("[train]\nseed = 5\n")
+        argv = [command, "--data", str(tmp_path / "missing"), "--out", str(tmp_path / "o"),
+                "--config", str(cfg)]
+        if command == "finetune":
+            argv += ["--ckpt", str(tmp_path / "missing.ck")]
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "'train.seed'" in err and "top-level 'seed'" in err
+
+    @pytest.mark.parametrize(
+        "text, key, command",
+        [("quantile = 64\n", "quantile", "harmonize"),
+         ("[trian]\nlr = 1e-3\n", "trian.lr", "pretrain"),
+         ("[train]\nmomentum = 0.9\n", "train.momentum", "features"),
+         ("[model]\nhidden_layers = 3\n", "model.hidden_layers", "predict")],
+        ids=["top-level-typo", "misspelt-section", "train-field", "model-field"],
+    )
+    def test_unknown_key_is_data_error(self, tmp_path, capsys, text, key, command):
+        # the keys are checked as the file is read, before any input is
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text)
+        missing, out = str(tmp_path / "missing"), str(tmp_path / "out")
+        argv = {
+            "harmonize": ["harmonize", "--ref-dir", missing, "--in", missing, "--out", out],
+            "pretrain": ["pretrain", "--data", missing, "--out", out],
+            "features": ["features", "--in", missing, "--out", out],
+            "predict": ["predict", "--ckpt", missing, "--in", missing, "--out", out],
+        }[command]
+        assert main(argv + ["--config", str(cfg)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "unknown config key" in err and key in err
+
     def test_unparseable_file_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("this is not a key value line\n")
@@ -291,6 +337,8 @@ class TestCountOptions:
             "predict": ["predict", "--ckpt", str(root / "pre.ck"), "--in", raw,
                         "--case-id", "synth-000", "--ref-dir", ref, "--out", out],
             "pretrain": ["pretrain", "--data", str(workspace["harm"]), "--out", out],
+            "evaluate": ["evaluate", "--pred", raw, "--gt", raw, "--out", out],
+            "selftest": ["selftest"],
         }[command]
 
     @pytest.mark.parametrize(
@@ -327,6 +375,93 @@ class TestCountOptions:
         assert main(self._argv(command, workspace, tmp_path) + ["--config", str(cfg)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert "gliomaforge: error:" in err and message in err
+
+    @pytest.mark.parametrize("source", ["--seed", "'seed'", "'GLIOMAFORGE_SEED'"])
+    @pytest.mark.parametrize("command", ["stratify", "selftest"])
+    def test_negative_seed_is_data_error(
+        self, workspace, tmp_path, monkeypatch, capsys, command, source
+    ):
+        argv = self._argv(command, workspace, tmp_path)
+        monkeypatch.delenv("GLIOMAFORGE_SEED", raising=False)
+        if source == "--seed":
+            argv += ["--seed", "-1"]
+        elif source == "'seed'":
+            (tmp_path / "c.cfg").write_text("seed = -1\n")
+            argv += ["--config", str(tmp_path / "c.cfg")]
+        else:
+            monkeypatch.setenv("GLIOMAFORGE_SEED", "-1")
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"gliomaforge: error: seed -1 from {source} must be non-negative" in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    @pytest.mark.parametrize("command", ["harmonize", "features", "evaluate"])
+    def test_jobs_below_one_is_data_error(self, workspace, tmp_path, capsys, command, jobs):
+        argv = self._argv(command, workspace, tmp_path) + ["--jobs", jobs]
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"gliomaforge: error: --jobs {jobs} must be at least 1" in err
+        assert not (tmp_path / "out").exists()
+
+
+def _subparsers():
+    parser = cli.build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+# The only accepted options that nothing reads: harmonize and predict draw no
+# random numbers, and take --seed only because perfbench/run.py passes it.
+UNREAD_OPTIONS = {("harmonize", "seed"), ("predict", "seed")}
+
+
+class TestEveryOptionIsRead:
+    """Each subcommand, given every option its parser accepts, reads each
+    one from the parsed arguments."""
+
+    def _argv(self, command, workspace, tmp_path):
+        root, cfg = workspace["root"], str(workspace["cfg"])
+        raw, ref, harm = str(workspace["raw"]), str(workspace["ref"]), str(workspace["harm"])
+        ckpt, out = str(root / "pre.ck"), str(tmp_path / "out")
+        return {
+            "harmonize": ["--config", cfg, "--seed", "3", "--ref-dir", ref, "--in", raw,
+                          "--out", out, "--quantiles", "64", "--compress", "--jobs", "1"],
+            "features": ["--config", cfg, "--in", harm, "--out", out, "--modality", "t1",
+                         "--bin-width", "10", "--jobs", "1"],
+            "stratify": ["--config", cfg, "--seed", "3", "--features", str(root / "features.csv"),
+                         "--k", "2", "--pca", "2", "--folds", "2", "--out", out],
+            "pretrain": ["--config", cfg, "--seed", "3", "--data", harm, "--out", out,
+                         "--epochs", "1"],
+            "finetune": ["--config", cfg, "--seed", "3", "--data", harm, "--out", out,
+                         "--epochs", "1", "--ckpt", ckpt, "--folds", str(root / "folds.csv"),
+                         "--val-fold", "1"],
+            "predict": ["--config", cfg, "--seed", "3", "--ckpt", ckpt, "--in", raw,
+                        "--out", out + ".nii", "--case-id", "synth-000", "--ref-dir", ref,
+                        "--quantiles", "64", "--no-postprocess"],
+            "evaluate": ["--pred", harm, "--gt", raw, "--out", out, "--no-postprocess",
+                         "--jobs", "1"],
+            "selftest": ["--config", cfg, "--seed", "3"],
+        }[command]
+
+    @pytest.mark.parametrize("command", list(_subparsers()))
+    def test_reads_every_accepted_option(self, workspace, tmp_path, capsys, command):
+        subparser = _subparsers()[command]
+        argv = self._argv(command, workspace, tmp_path)
+        options = {a.option_strings[0] for a in subparser._actions if a.dest != "help"}
+        assert options <= set(argv), "the argv must give every option"
+        read = set()
+
+        class ReadLog(argparse.Namespace):
+            def __getattribute__(self, name):
+                read.add(name)
+                return super().__getattribute__(name)
+
+        args = subparser.parse_args(argv, namespace=ReadLog())
+        read.clear()  # argparse reads the namespace as it fills it
+        assert args.func(args) == EXIT_OK
+        accepted = {a.dest for a in subparser._actions if a.dest != "help"}
+        unread = {(command, dest) for dest in accepted - read}
+        assert unread == {pair for pair in UNREAD_OPTIONS if pair[0] == command}
 
 
 class TestDiscovery:

@@ -1,6 +1,7 @@
 """NIfTI subset: header parsing, round-trips, endianness, case assembly."""
 
 import gzip
+import inspect
 import threading
 
 import numpy as np
@@ -279,6 +280,15 @@ class TestLoadCase:
         case = nifti.load_case(tmp_path, "sub1")
         assert case.label is not None
         assert case.label.labels[1, 1, 1] == 2
+
+    def test_legacy_label_4_reads_as_3(self, tmp_path):
+        # always remapped: load_case has no knob to keep a raw 4
+        assert "remap_label_4" not in inspect.signature(nifti.load_case).parameters
+        self.write_case(tmp_path)
+        labels = np.zeros((4, 4, 4), dtype=np.uint8)
+        labels[1, 1, 1] = 4
+        (tmp_path / "sub1-seg.nii").write_bytes(encode(labels, (1.0, 1.0, 1.0), 2))
+        assert nifti.load_case(tmp_path, "sub1").label.labels[1, 1, 1] == 3
 
     def test_missing_modality(self, tmp_path):
         self.write_case(tmp_path)
