@@ -392,12 +392,14 @@ def predict_case(
     quantiles: int = DEFAULT_QUANTILES,
     postprocess: bool = True,
 ) -> SegmentationMask:
-    """Harmonize (optional), normalize into one zero-padded input, forward,
-    argmax, crop, filter.
+    """Harmonize (optional), normalize into one zero-padded input, then
+    `predict_labels` (forward, argmax, crop), then filter.
 
     It takes each modality out of `case` as it normalizes it, so the case
     is left without modalities and no raw volume lives on through the
-    forward, even though the caller still holds the case."""
+    forward, even though the caller still holds the case. It hands the
+    padded input over to `predict_labels` and keeps no reference to it, so
+    the input is freed once stage 1 has read it."""
     dims, spacing = case.dims, case.modalities["t1"].spacing
     images = np.zeros((len(MODALITIES), *padded_dims(dims)), dtype=np.float32)
     crop = tuple(slice(0, s) for s in dims)
@@ -406,8 +408,10 @@ def predict_case(
         if ref_cdfs is not None:
             vol = match_histogram(vol, ref_cdfs[mod], quantiles=quantiles)
         zscore_normalize(vol, out=channel[crop])
-    del vol  # the last volume would otherwise live on through the forward
-    labels = predict_labels(model, images, dims)
+    handover = [images]
+    # else the last volume, and the input itself, live on through the forward
+    del vol, channel, images
+    labels = predict_labels(model, handover, dims)
     mask = SegmentationMask(labels=labels, spacing=spacing)
     if postprocess:
         mask = keep_largest_per_class(mask)

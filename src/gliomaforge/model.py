@@ -7,18 +7,26 @@ resolutions 1/4 .. 1/32, a combined spatial + channel attention gate on
 the deepest features, and a transpose-conv decoder that fuses the skip
 pyramid back to full-resolution class logits.
 
-Memory at inference is kept near the size of the input. Attention runs
-its queries in chunks of at most `_QUERY_CHUNK` tokens against the full
-reduced K/V, which gives the unchunked map's rows exactly. With grad off,
-Mix-FFN runs fc1, its depthwise taps, GELU and fc2 on one block of output
-depth planes at a time, so its hidden arrays, four times as wide as the
-tokens, exist for one block only; its output has the graph's bits. Two
-pairs of linear maps with nothing between them run as one layer each;
-checkpoints keep all four layers:
+Memory at inference is kept near the size of the input. A forward with
+`dims` and grad off (`train.predict_labels`) returns uint8 labels and
+holds no full-grid array but its input, which a caller can hand over
+(a one-item list that `forward` empties): stage 1's merge is then its
+last reader, and it is freed there. Attention runs its queries in chunks
+of at most `_QUERY_CHUNK` tokens against the full reduced K/V, which
+gives the unchunked map's rows exactly; with grad off each chunk's
+softmax runs in place, with the graph's ufuncs in its order. With grad
+off, Mix-FFN runs fc1, its depthwise taps, GELU and fc2 on one block of
+output depth planes at a time, so its hidden arrays, four times as wide
+as the tokens, exist for one block only; its output has the graph's bits.
+Two pairs of linear maps with nothing between them run as one layer
+each; checkpoints keep all four layers:
 
 - The decoder's last upsampler and its 1x1 head run as one transposed conv
   with `num_classes` outputs, whose weight and bias are composed from both
   layers' parameters as graph ops on every forward, training included.
+  For labels it runs a few 1/4-resolution depth planes at a time, each
+  block argmaxed before the next is made (`_Decoder.labels`), with the
+  bits of the one-shot conv.
 - The frequency stem and stage 1's patch merge run as one (k+2)^3 conv
   when grad is off (`_StemMerge`), so inference never builds the stem's
   2C-channel full-resolution output. The composed conv sees stem values
@@ -175,10 +183,15 @@ class _Conv:
 
 class _StemInput:
     """The model's input in place of its frequency stem's output: a forward
-    with grad off hands it to stage 1, whose merge then folds the stem."""
+    with grad off hands it to stage 1, whose merge folds the stem in. The
+    merge takes the input out (`take`), so this holds it no longer."""
 
     def __init__(self, model, x):
         self.model, self.x = model, x
+
+    def take(self):
+        x, self.x = self.x, None
+        return x
 
 
 class _StemMerge(_Conv):
@@ -199,7 +212,7 @@ class _StemMerge(_Conv):
     def __call__(self, x):
         if not isinstance(x, _StemInput):
             return super().__call__(x)
-        model, x = x.model, x.x
+        model, x = x.model, x.take()
         s, pm, km = self.stride, self.padding, self.weight.shape[-1]
         spatial = x.shape[2:]
         counts = [(size + 2 * pm - km) // s + 1 for size in spatial]
@@ -353,7 +366,16 @@ class _Attention:
 
     def _weights(self, q, k_t):
         scale = 1.0 / math.sqrt(self.channels // self.heads)
-        return softmax((q @ k_t) * scale, axis=-1)
+        scores = q @ k_t
+        if is_grad_enabled():
+            return softmax(scores * scale, axis=-1)
+        # the graph's ufuncs in its order, in place on the one map
+        s = scores.data
+        s *= s.dtype.type(scale)
+        s -= s.max(axis=-1, keepdims=True)
+        np.exp(s, out=s)
+        s /= s.sum(axis=-1, keepdims=True)
+        return scores
 
     def attention_map(self, tokens, grid):
         """Per-head softmax weights (N, heads, L, L_reduced) plus the K/V tokens."""
@@ -490,7 +512,8 @@ class _DualAttention:
 
 
 class _Decoder:
-    """Upsample 1/32 features, fusing projected skips at 1/16, 1/8, 1/4."""
+    """Upsample 1/32 features, fusing projected skips at 1/16, 1/8, 1/4, to
+    full-resolution class logits, or with `dims` to their argmax labels."""
 
     def __init__(self, store, name, cfg):
         dc = cfg.decoder_channels
@@ -505,17 +528,17 @@ class _Decoder:
         self.upfinal = _TConv(store, f"{name}.upfinal", dc, dc, 4, 4)
         self.head = _Conv(store, f"{name}.head", dc, cfg.num_classes, 1)
 
-    def __call__(self, pyramid, attended):
+    def __call__(self, pyramid, attended, dims=None):
         x = self.up3(self.proj4(attended))
         x = (x + self.proj3(pyramid[2])).relu()
         x = self.up2(x)
         x = (x + self.proj2(pyramid[1])).relu()
         x = self.up1(x)
         x = (x + self.proj1(pyramid[0])).relu()
-        return self.logits(x)
+        return self.logits(x) if dims is None else self.labels(x, dims)
 
-    def logits(self, x):
-        """head(upfinal(x)) as one transposed conv with num_classes outputs.
+    def _composed(self):
+        """head(upfinal(.))'s weight and bias as one transposed conv's.
 
         Both maps are linear with nothing between them, so they compose:
         W'[i, o] = sum_c head[o, c] * up[i, c] and b' = head @ b_up + b_head.
@@ -527,7 +550,39 @@ class _Decoder:
         mix = head.reshape(head.shape[0], dc)
         weight = (mix @ up.reshape(ci, dc, k**3)).reshape(ci, -1, k, k, k)
         bias = (mix @ self.upfinal.bias.reshape(dc, 1)).reshape(-1) + self.head.bias
+        return weight, bias
+
+    def logits(self, x):
+        """head(upfinal(x)) as one transposed conv with num_classes outputs."""
+        weight, bias = self._composed()
         return transpose_conv3d(x, weight, bias=bias, stride=self.upfinal.stride)
+
+    def labels(self, x, dims):
+        """The first-max argmax over classes of `logits(x)`, cropped to
+        `dims`, as uint8 (N, *dims). Each block of `logit_blocks` is
+        argmaxed and dropped before the next is made, so no full-grid
+        logits array exists."""
+        labels = np.empty((x.shape[0], *dims), dtype=np.uint8)
+        for z, scores in self.logit_blocks(x, dims[0]):
+            rows = labels[:, z : z + scores.shape[2]]
+            rows[...] = np.argmax(scores[:, :, : rows.shape[1], : dims[1], : dims[2]], axis=1)
+        return labels
+
+    def logit_blocks(self, x, depth):
+        """`logits(x)` down to output depth `depth`, as (first depth plane,
+        logits) blocks. Stride equals kernel, so each output depth plane
+        reads one plane of x: a block is the conv on the smallest run of x's
+        depth planes whose product keeps the whole product's bits
+        (`_blas_blocks`)."""
+        weight, bias = self._composed()
+        ci, co, k = weight.shape[:3]
+        h, w, stride = *x.shape[3:], self.upfinal.stride
+        bounds = _blas_blocks(x.shape[2], 1, ci * co * k * k * h * w, h * w)
+        for z0, z1 in zip(bounds, bounds[1:]):
+            if z0 * k >= depth:
+                return
+            block = transpose_conv3d(Tensor(x.data[:, :, z0:z1]), weight, bias=bias, stride=stride)
+            yield z0 * k, block.data
 
 
 class GliomaForgeNet:
@@ -606,7 +661,18 @@ class GliomaForgeNet:
             pyramid.append(x)
         return pyramid
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x, dims=None):
+        """Class logits, N x num_classes x D x H x W, of the input `x`.
+
+        With `dims` (for grad off) it returns instead the uint8 labels the
+        logits' first-max argmax gives, cropped to `dims`, and builds no
+        full-grid logits (`_Decoder.labels`). `x` is a Tensor, or a one-item
+        list holding one, which forward empties: with grad off stage 1's
+        merge is then the last reader of the input, which is freed there
+        unless the caller keeps its own reference.
+        """
+        if isinstance(x, list):
+            x = x.pop()
         if x.ndim != 5 or x.shape[1] != self.config.in_channels:
             raise ShapeError(
                 f"expected N x {self.config.in_channels} x D x H x W input, got {x.shape}"
@@ -617,8 +683,9 @@ class GliomaForgeNet:
                 f"spatial dims {tuple(x.shape[2:])} must be divisible by 32; pad the input"
             )
         stem = self.frequency_stem(x) if is_grad_enabled() else _StemInput(self, x)
+        del x
         pyramid = self.encode(stem)
         attended = self.dual(pyramid[3])
-        return self.decoder(pyramid, attended)
+        return self.decoder(pyramid, attended, dims)
 
     __call__ = forward

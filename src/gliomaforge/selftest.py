@@ -37,7 +37,16 @@ from .nifti import (
 from .radiomics import first_order_features
 from .stratify import kmeans, pca_fit_transform, standardize, stratified_folds
 from .synthetic import make_dataset
-from .train import AdamW, TrainConfig, composite_loss, cosine_lr, cross_entropy, fit, training_case
+from .train import (
+    AdamW,
+    TrainConfig,
+    composite_loss,
+    cosine_lr,
+    cross_entropy,
+    fit,
+    predict_labels,
+    training_case,
+)
 
 SMALL_MODEL = dict(
     stage_channels=[8, 16, 32, 64],
@@ -297,6 +306,36 @@ def mix_ffn_blocks_check(seed):
         )
 
 
+def labels_path_check(seed):
+    """`predict_labels`, whose decoder runs its last transposed conv on
+    blocks of depth planes, against the first-max argmax of the whole
+    logits, to the bit. Default decoder width: the blocks are three planes
+    of 1/4 resolution, the last joined by the one plane left. A BLAS whose
+    column blocks sum otherwise than the whole product fails here."""
+    model = GliomaForgeNet(ModelConfig(**{**SMALL_MODEL, "decoder_channels": 48}), seed=seed)
+    rng = np.random.default_rng(seed)
+    decoder = model.decoder
+    for p in (decoder.upfinal.bias, decoder.head.bias):  # zero at init
+        p.data = rng.normal(size=p.shape).astype(np.float32)
+    x = Tensor(rng.normal(size=(1, 48, 16, 8, 16)).astype(np.float32))
+    blocks = [block for _, block in decoder.logit_blocks(x, 64)]
+    _check(
+        np.concatenate(blocks, axis=2).tobytes() == decoder.logits(x).data.tobytes(),
+        "decoder logit blocks differ from the whole transposed conv",
+    )
+    dims = (40, 30, 61)
+    images = rng.normal(size=(4, *dims)).astype(np.float32)
+    padded = np.zeros((1, 4, 64, 32, 64), dtype=np.float32)
+    padded[0, :, :40, :30, :61] = images
+    with no_grad():
+        logits = model(Tensor(padded)).data
+    want = np.argmax(logits[0], axis=0)[:40, :30, :61].astype(np.uint8)
+    _check(
+        predict_labels(model, images).tobytes() == want.tobytes(),
+        "labels path != argmax of logits",
+    )
+
+
 def suite_model_contract(seed):
     model = GliomaForgeNet(config=ModelConfig(**SMALL_MODEL), seed=seed)
     x = Tensor(np.random.default_rng(seed).normal(size=(1, 4, 32, 32, 32)).astype(np.float32))
@@ -324,6 +363,7 @@ def suite_model_contract(seed):
     )
     decoder_gradcheck(seed)
     mix_ffn_blocks_check(seed)
+    labels_path_check(seed)
     # every face has enough outputs that BLAS sums its product as it sums
     # the whole grid's (OpenBLAS has a separate kernel for small products)
     x = np.random.default_rng(seed).normal(size=(1, 4, 32, 64, 64)).astype(np.float32)

@@ -295,24 +295,28 @@ def padded_dims(dims) -> tuple[int, ...]:
     return tuple(s + (-s) % 32 for s in dims)
 
 
-def predict_labels(model: GliomaForgeNet, images: np.ndarray, dims=None) -> np.ndarray:
-    """Argmax prediction over `images` zero-padded up to the stride multiple
-    (used as they are when they need no padding), cropped to `dims`: the
-    grid of `images`, unless they come zero-padded already."""
+def predict_labels(model: GliomaForgeNet, images, dims=None) -> np.ndarray:
+    """uint8 labels of one case's C x D x H x W `images`: zero-padded up to
+    the stride multiple (used as they are when they need no padding), a
+    forward with grad off, the first-max argmax over classes, cropped to
+    `dims` (the grid of `images`, unless they come zero-padded already).
+
+    No full-grid array exists beside the input, and the input lives only
+    until stage 1 has read it, unless a caller holds it: `images` is an
+    array, which its caller keeps unchanged, or a one-item list holding
+    one, which this empties, handing the array over. A padded copy made
+    here is handed over too.
+    """
+    slot = images if isinstance(images, list) else [images]
+    images = slot.pop()
     grid = images.shape[1:]
     pads = [(0, p - s) for s, p in zip(grid, padded_dims(grid))]
     if any(after for _, after in pads):
         images = np.pad(images, [(0, 0)] + pads)
+    slot.append(Tensor(images[None]))
+    del images
     with no_grad():
-        logits = model(Tensor(images[None]))
-    crop = tuple(slice(0, s) for s in (grid if dims is None else dims))
-    scores = logits.data[0][(slice(None), *crop)]
-    labels = np.empty(scores.shape[1:], dtype=np.uint8)
-    # a depth plane at a time: argmax over the class axis copies its input
-    # with that axis last, which for the whole grid is as large as the logits
-    for z in range(len(labels)):
-        labels[z] = np.argmax(scores[:, z], axis=0)
-    return labels
+        return model(slot, grid if dims is None else dims)[0]
 
 
 def validation_dice(model: GliomaForgeNet, cases: list[TrainingCase]) -> float:

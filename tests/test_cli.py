@@ -18,7 +18,7 @@ import pytest
 import gliomaforge
 from gliomaforge import nifti
 from gliomaforge import cli
-from gliomaforge.autodiff import Tensor
+from gliomaforge import model as model_module
 from gliomaforge.cli import (
     EXIT_DATA,
     EXIT_OK,
@@ -1097,13 +1097,13 @@ def _int16_case(case):
 
 
 class _Probe:
-    """A model stand-in: records its input and the traced memory peak when
-    called, and returns all-zero logits."""
+    """A model stand-in: records the input handed to it and the traced
+    memory peak when called, and returns all-zero labels."""
 
-    def __call__(self, x):
-        self.input = x.data
+    def __call__(self, x, dims):
+        self.input = x[0].data
         self.peak = tracemalloc.get_traced_memory()[1]
-        return Tensor(np.zeros((1, 4, *x.shape[2:]), dtype=np.float32))
+        return np.zeros((1, *dims), dtype=np.uint8)
 
 
 class TestPredictCase:
@@ -1130,6 +1130,26 @@ class TestPredictCase:
         got = predict_case(net, case, ref_cdfs=cdfs)  # takes the modalities out of case
         assert got.labels.shape == (40, 36, 20)
         assert got.labels.tobytes() == want.labels.tobytes()
+
+    def test_padded_input_freed_before_stage_2(self, net, monkeypatch):
+        inputs, alive = [], []
+        take, call = model_module._StemInput.take, model_module._Stage.__call__
+
+        def taking(holder):
+            x = take(holder)
+            inputs.append(weakref.ref(x.data.base))
+            return x
+
+        def calling(stage, x):
+            if stage is net.stages[1]:
+                alive.extend(ref() is not None for ref in inputs)
+            return call(stage, x)
+
+        monkeypatch.setattr(model_module._StemInput, "take", taking)
+        monkeypatch.setattr(model_module._Stage, "__call__", calling)
+        mask = predict_case(net, make_case("free", shape=(40, 36, 20), seed=8))
+        assert mask.labels.shape == (40, 36, 20)
+        assert alive == [False]
 
     def test_front_end_holds_one_padded_input(self):
         # a 60x50x40 case pads to 64^3: the front end may hold the padded

@@ -176,12 +176,12 @@ class TestChunkedAttention:
         monkeypatch.setattr(model_module, "_QUERY_CHUNK", 8)
         maps = []
 
-        def counting(x, axis=-1):
-            maps.append(x.shape[2])
-            return softmax(x, axis=axis)
+        def counting(attn, q, k_t):
+            maps.append(q.shape[2])
+            return weights(attn, q, k_t)
 
-        softmax = model_module.softmax
-        monkeypatch.setattr(model_module, "softmax", counting)
+        weights = _Attention._weights
+        monkeypatch.setattr(_Attention, "_weights", counting)
         store = _Store(21, np.float32)
         attn = _Attention(store, "a", channels=16, heads=2, sr_ratio=1)
         rng = np.random.default_rng(22)
@@ -190,11 +190,39 @@ class TestChunkedAttention:
         with no_grad():
             chunked = attn(tokens, grid)
             assert len(maps) == -(-length // 8) and max(maps) <= 8 and sum(maps) == length
+            maps.clear()
             weights, kv = attn.attention_map(tokens, grid)
             full = (weights @ attn._split(attn.v(kv))).permute(0, 2, 1, 3)
             ref = attn.proj(full.reshape(2, length, 16))
         assert weights.shape == (2, 2, length, length)
         assert chunked.data.tobytes() == ref.data.tobytes()
+
+
+class TestInPlaceSoftmax:
+    """With grad off, attention normalizes each chunk's q @ k^T in place,
+    with the graph softmax's ufuncs in its order: the same bits."""
+
+    def test_equals_graph_softmax_across_chunks(self, monkeypatch):
+        attn = _Attention(_Store(24, np.float32), "a", channels=16, heads=2, sr_ratio=4)
+        rng = np.random.default_rng(25)
+        for layer in (attn.q, attn.k, attn.v, attn.proj):
+            for p in (layer.weight, layer.bias):
+                p.data = rng.normal(size=p.shape).astype(np.float32)
+        grid = (36, 16, 16)  # 9216 queries: two chunks against 144 K/V tokens
+        tokens = Tensor(rng.normal(size=(1, 9216, 16)).astype(np.float32))
+        graph = attn(tokens, grid).data
+        graph_map = attn.attention_map(tokens, grid)[0].data
+
+        def refused(x, axis=-1):
+            raise AssertionError("graph softmax called with grad off")
+
+        monkeypatch.setattr(model_module, "softmax", refused)
+        with no_grad():
+            out = attn(tokens, grid).data
+            weights = attn.attention_map(tokens, grid)[0].data
+        assert weights.shape == (1, 2, 9216, 144)
+        assert weights.tobytes() == graph_map.tobytes()
+        assert out.tobytes() == graph.tobytes()
 
 
 class TestMixFFN:
@@ -390,6 +418,57 @@ class TestHeadFold:
 
     def test_decoder_gradcheck_reaches_upfinal_and_head(self):
         assert decoder_gradcheck(seed=3) < 1e-4
+
+
+class TestDecoderLabels:
+    """`_Decoder.labels` runs the composed transposed conv on blocks of the
+    1/4-resolution depth planes and argmaxes each block into uint8 labels."""
+
+    def test_blocks_are_the_whole_logits(self, monkeypatch):
+        # default decoder width on 8x16 planes: three planes a block, and
+        # the last plane of 16 joins the block before it
+        net = GliomaForgeNet(ModelConfig(**{**SMALL, "decoder_channels": 48}), seed=2)
+        dec = net.decoder
+        rng = np.random.default_rng(26)
+        for p in (dec.upfinal.bias, dec.head.bias):  # zero at init
+            p.data = rng.normal(size=p.shape).astype(np.float32)
+        x = Tensor(rng.normal(size=(1, 48, 16, 8, 16)).astype(np.float32))
+        whole = dec.logits(x).data
+        blocks = list(dec.logit_blocks(x, 64))
+        assert [z for z, _ in blocks] == [0, 12, 24, 36, 48]
+        assert np.concatenate([b for _, b in blocks], axis=2).tobytes() == whole.tobytes()
+        calls = []
+        tconv = model_module.transpose_conv3d
+
+        def counting(x, *args, **kwargs):
+            calls.append(x.shape[2])
+            return tconv(x, *args, **kwargs)
+
+        monkeypatch.setattr(model_module, "transpose_conv3d", counting)
+        labels = dec.labels(x, (40, 30, 61))
+        want = np.argmax(whole, axis=1)[:, :40, :30, :61].astype(np.uint8)
+        assert labels.tobytes() == want.tobytes()
+        assert calls == [3, 3, 3, 3]  # none past the crop
+
+    def test_argmax_keeps_first_maximum(self, monkeypatch):
+        # logits: x's first four channels repeated 4x along each axis; few
+        # values, so many voxels tie across classes; a NaN wins its voxel
+        def upsampled(x, weight, bias=None, stride=1):
+            data = x.data[:, :4]
+            for axis in (2, 3, 4):
+                data = np.repeat(data, 4, axis=axis)
+            return Tensor(data)
+
+        monkeypatch.setattr(model_module, "transpose_conv3d", upsampled)
+        rng = np.random.default_rng(3)
+        x = rng.integers(0, 3, size=(2, 8, 8, 8, 8)).astype(np.float32)
+        x[1, 2, 1, 1, 1] = np.nan
+        labels = small_net().decoder.labels(Tensor(x), (30, 32, 31))
+        whole = upsampled(Tensor(x), None).data
+        want = np.argmax(whole, axis=1)[:, :30, :, :31].astype(np.uint8)
+        assert labels.dtype == np.uint8 and labels.shape == (2, 30, 32, 31)
+        assert labels.tobytes() == want.tobytes()
+        assert labels[1, 5, 6, 7] == 2
 
 
 class TestStemMergeFold:

@@ -2,11 +2,13 @@
 
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from gliomaforge.autodiff import Parameter, Tensor, softmax
+from gliomaforge import model as model_module
+from gliomaforge.autodiff import Parameter, Tensor, no_grad, softmax
 from gliomaforge.autodiff.gradcheck import gradcheck
 from gliomaforge.config import train_config_from
 from gliomaforge.errors import ConfigError, LabelError, TrainingDivergedError
@@ -31,6 +33,7 @@ from gliomaforge.train import (
     random_crop,
     sample_augmentation,
     training_case,
+    validation_dice,
     write_fit_log,
 )
 
@@ -489,40 +492,106 @@ class TestMeanForegroundDice:
         assert mean_foreground_dice(pred, truth) == pytest.approx((0.5 + 1 + 1) / 3)
 
 
-class _FixedLogits:
-    """A model stand-in that returns the same logits for any input."""
+def _on_stage_start(monkeypatch, net, hook):
+    """Makes each of `net`'s stages after the first call hook(its index)
+    before it runs."""
+    call = model_module._Stage.__call__
 
-    def __init__(self, logits):
-        self.logits = logits
+    def calling(stage, x):
+        if stage is not net.stages[0]:
+            hook(net.stages.index(stage))
+        return call(stage, x)
 
-    def __call__(self, x):
-        return Tensor(self.logits)
+    monkeypatch.setattr(model_module._Stage, "__call__", calling)
+
+
+def _taken_inputs(monkeypatch):
+    """Weak references to each array stage 1's merge takes as the input."""
+    refs = []
+    take = model_module._StemInput.take
+
+    def taking(holder):
+        x = take(holder)
+        refs.append(weakref.ref(x.data if x.data.base is None else x.data.base))
+        return x
+
+    monkeypatch.setattr(model_module._StemInput, "take", taking)
+    return refs
 
 
 class TestPredictLabels:
-    def test_argmax_keeps_first_maximum(self):
-        rng = np.random.default_rng(3)
-        # few values, so many voxels tie across classes; a NaN wins its voxel
-        logits = rng.integers(0, 3, size=(1, 4, 32, 32, 32)).astype(np.float32)
-        logits[0, 2, 5, 6, 7] = np.nan
-        labels = predict_labels(_FixedLogits(logits), np.zeros((4, 30, 32, 31)), (30, 32, 31))
-        want = np.argmax(logits[0], axis=0)[:30, :, :31].astype(np.uint8)
+    """predict_labels is one grad-off pad, forward, argmax and crop; its
+    labels are the first-max argmax of the whole logits, to the bit."""
+
+    @pytest.mark.parametrize(
+        "small, dims",
+        [
+            (True, (40, 36, 33)),  # padded to 64^3
+            (False, (40, 36, 33)),  # 1/4-resolution blocks of two planes
+            (False, (40, 30, 61)),  # blocks of three, cropped inside the fourth
+            (True, (32, 32, 32)),  # no padding: the caller's array itself
+        ],
+    )
+    def test_equals_argmax_of_logits(self, small, dims):
+        net = small_model() if small else GliomaForgeNet(seed=1)
+        images = np.random.default_rng(5).normal(size=(4, *dims)).astype(np.float32)
+        kept = images.copy()
+        labels = predict_labels(net, images)
+        padded = np.zeros((1, 4, *train.padded_dims(dims)), dtype=np.float32)
+        padded[0, :, : dims[0], : dims[1], : dims[2]] = images
+        with no_grad():
+            logits = net(Tensor(padded)).data
+        want = np.argmax(logits[0], axis=0)[: dims[0], : dims[1], : dims[2]].astype(np.uint8)
         assert labels.dtype == np.uint8 and labels.flags.c_contiguous
         assert labels.tobytes() == want.tobytes()
-        assert labels[5, 6, 7] == 2
+        assert images.tobytes() == kept.tobytes()
 
-    def test_argmax_holds_no_whole_grid_copy(self):
-        # argmax over the class axis of the whole grid would copy the logits
-        logits = np.random.default_rng(4).normal(size=(1, 4, 64, 64, 64)).astype(np.float32)
-        model, images = _FixedLogits(logits), np.zeros((4, 64, 64, 64), dtype=np.float32)
+    def test_peak_below_one_full_grid_logits(self):
+        # beyond its input, the forward holds stage 1's merge columns and
+        # face slabs at most: no full-grid logits array, nor its argmax copy
+        net = small_model()
+        images = np.random.default_rng(6).normal(size=(4, 128, 128, 96)).astype(np.float32)
+        predict_labels(net, images[:, :32, :32, :32])  # draws the weights
         tracemalloc.start()
         try:
-            labels = predict_labels(model, images)
+            labels = predict_labels(net, images)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        plane = 4 * 64 * 64 * 8  # one depth plane's copy and int64 argmax, generously
-        assert peak <= labels.nbytes + 2 * plane
+        assert labels.shape == (128, 128, 96)
+        assert peak < 4 * 4 * 128 * 128 * 96  # float32 logits of 4 classes
+
+    def test_handed_over_input_freed_before_stage_2(self, monkeypatch):
+        net = small_model()
+        refs = _taken_inputs(monkeypatch)
+        alive = []
+        _on_stage_start(
+            monkeypatch, net, lambda i: alive.append((i, [ref() is not None for ref in refs]))
+        )
+        rng = np.random.default_rng(7)
+        slot = [rng.normal(size=(4, 32, 32, 32)).astype(np.float32)]
+        predict_labels(net, slot)  # no padding: the handed-over array itself
+        assert slot == [] and alive[0] == (1, [False])
+        alive.clear()
+        images = rng.normal(size=(4, 30, 32, 31)).astype(np.float32)
+        predict_labels(net, images)  # the padded copy made here
+        assert refs[1]() is None and alive[0] == (1, [False, False])
+
+    def test_callers_array_kept(self, monkeypatch):
+        net = small_model()
+        refs = _taken_inputs(monkeypatch)
+        images = np.random.default_rng(8).normal(size=(4, 32, 32, 32)).astype(np.float32)
+        kept = images.copy()
+        labels = predict_labels(net, images)
+        assert refs[0]() is images
+        assert images.tobytes() == kept.tobytes()
+        assert labels.tobytes() == predict_labels(net, [kept]).tobytes()
+
+    def test_validation_leaves_unpadded_images_unchanged(self):
+        cases = synthetic_training_cases(n=2)
+        kept = [c.images.copy() for c in cases]
+        validation_dice(small_model(), cases)
+        assert all(c.images.tobytes() == k.tobytes() for c, k in zip(cases, kept))
 
 
 def retained_backward(loss):
