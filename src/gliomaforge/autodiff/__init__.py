@@ -5,7 +5,6 @@ from .conv import (
     channel_avg,
     channel_max,
     conv3d,
-    depthwise_conv3d_tokens,
     global_avg_pool,
     transpose_conv3d,
     trilinear_resize,
@@ -21,7 +20,6 @@ __all__ = [
     "channel_max",
     "concat",
     "conv3d",
-    "depthwise_conv3d_tokens",
     "global_avg_pool",
     "gradcheck",
     "is_grad_enabled",

@@ -29,9 +29,9 @@ the running sum and its one temporary stay in cache. Two layouts call it:
 
 - `conv3d` with groups == C == O (the stem) views its channels-first
   input as B = N*C grids of one channel, each with its own taps.
-- `depthwise_conv3d_tokens` (the Mix-FFN) views tokens (N, L, C) as
+- the model's Mix-FFN node views its hidden tokens (N, L, C) as
   (N, D, H, W, C) grids sharing one set of taps, so no permute copy is
-  made either way.
+  made either way; it calls `_depthwise_grads` for its backward.
 
 The input gradient is the same kernel run over the upstream gradient,
 zero-stuffed between strides and zero-padded, with the taps flipped but
@@ -283,43 +283,6 @@ def conv3d(x, w, bias=None, stride=1, padding=0, groups=1):
             _accumulate(bias, g.sum(axis=(0, 2, 3, 4)))
 
     return Tensor._from_op(out, parents, backward_fn)
-
-
-def depthwise_conv3d_tokens(tokens, grid, w, bias=None):
-    """Stride-1 depthwise conv, padded to keep the grid, on tokens (N, L, C)
-    of a D x H x W `grid`, read channels last: (C, 1, k, k, k) weights with
-    k odd -> tokens of the same shape."""
-    if tokens.ndim != 3 or tokens.shape[1] != int(np.prod(grid)):
-        raise ShapeError(f"expected N x L x C tokens of a {tuple(grid)} grid, got {tokens.shape}")
-    n, length, c = tokens.shape
-    k = w.shape[-1]
-    if w.shape != (c, 1, k, k, k) or k % 2 == 0:
-        raise ShapeError(f"expected {c} x 1 x k x k x k weights with k odd, got {w.shape}")
-    if bias is not None and bias.shape != (c,):
-        raise ShapeError(f"bias shape {bias.shape} != ({c},)")
-    grid, p = tuple(grid), k // 2
-    padded = np.pad(tokens.data.reshape(n, *grid, c), ((0, 0),) + ((p, p),) * 3 + ((0, 0),))
-    taps = np.ascontiguousarray(w.data.reshape(c, k**3).T)[None]
-    out = _depthwise(padded, taps, k, 1, grid)
-    if bias is not None:
-        out += bias.data
-
-    parents = (tokens, w) if bias is None else (tokens, w, bias)
-
-    def backward_fn(g):
-        if tokens.requires_grad or w.requires_grad:
-            dx, dtaps = _depthwise_grads(
-                padded, taps, g.reshape(n, *grid, c), k, 1, p, tokens.requires_grad,
-                w.requires_grad,
-            )
-            if dtaps is not None:
-                _accumulate(w, dtaps[0].T.reshape(w.shape))
-            if dx is not None:
-                _accumulate(tokens, dx.reshape(tokens.shape))
-        if bias is not None:
-            _accumulate(bias, g.sum(axis=(0, 1)))
-
-    return Tensor._from_op(out.reshape(n, length, c), parents, backward_fn)
 
 
 def transpose_conv3d(x, w, bias=None, stride=1):

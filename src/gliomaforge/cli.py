@@ -12,7 +12,6 @@ files of a case into place together, once all of them have been read.
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing, contextmanager
 from dataclasses import fields
 from functools import partial
@@ -146,6 +145,8 @@ def _map_cases(work, tasks, jobs, initializer=None, initargs=()):
     `initializer(*initargs)`, if given, runs first in each process that
     does work, so what every task shares is sent to a worker once."""
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # imports logging: only when used
+
         with ProcessPoolExecutor(jobs, initializer=initializer, initargs=initargs) as pool:
             yield from pool.map(work, tasks)
     else:

@@ -14,10 +14,11 @@ holds no full-grid array but its input, which a caller can hand over
 last reader, and it is freed there. Attention runs its queries in chunks
 of at most `_QUERY_CHUNK` tokens against the full reduced K/V, which
 gives the unchunked map's rows exactly; with grad off each chunk's
-softmax runs in place, with the graph's ufuncs in its order. With grad
-off, Mix-FFN runs fc1, its depthwise taps, GELU and fc2 on one block of
-output depth planes at a time, so its hidden arrays, four times as wide
-as the tokens, exist for one block only; its output has the graph's bits.
+softmax runs in place, with the graph's ufuncs in its order. Mix-FFN is
+one graph node whose one forward runs a block of output depth planes at a
+time: with grad off a few planes of one sample, so its hidden arrays, four
+times as wide as the tokens, exist for one block only; when recorded, the
+whole batch and grid. Both give the same bits.
 Two pairs of linear maps with nothing between them run as one layer
 each; checkpoints keep all four layers:
 
@@ -51,7 +52,6 @@ from .autodiff import (
     channel_max,
     concat,
     conv3d,
-    depthwise_conv3d_tokens,
     global_avg_pool,
     is_grad_enabled,
     layer_norm,
@@ -60,8 +60,8 @@ from .autodiff import (
     softmax,
     transpose_conv3d,
 )
-from .autodiff.conv import _DEPTHWISE_BLOCK, _blas_blocks, _depthwise
-from .autodiff.tensor import gelu_values
+from .autodiff.conv import _DEPTHWISE_BLOCK, _blas_blocks, _depthwise, _depthwise_grads
+from .autodiff.tensor import _accumulate, gelu_values
 from .errors import CheckpointError, ConfigError, ShapeError
 
 # Query tokens per attention chunk. A chunk's map is N x heads x 8192 x
@@ -100,8 +100,12 @@ class ModelConfig:
             self.decoder_channels,
             self.ffn_expansion,
             self.channel_attn_reduction,
+            self.spatial_attn_kernel,
+            *self.stage_channels,
             *self.stage_depths,
             *self.stage_heads,
+            *self.stage_strides,
+            *self.sr_ratios,
         )
         if any(v < 1 for v in positive):
             raise ConfigError("config values must be positive")
@@ -402,10 +406,9 @@ class _Attention:
 
 
 class _MixFFN:
-    """Pointwise expand, depthwise 3^3 conv over the grid, GELU, project back.
-    The conv reads the tokens channels last, so they are never permuted.
-    With grad off it runs a block of output depth planes at a time
-    (`_planes`), so no hidden array of the whole grid exists."""
+    """Pointwise expand, depthwise 3^3 conv over the grid, GELU, project back,
+    as one graph node. The conv reads the tokens channels last, so they are
+    never permuted."""
 
     def __init__(self, store, name, channels, expansion):
         hidden = channels * expansion
@@ -415,18 +418,43 @@ class _MixFFN:
         self.fc2 = _Linear(store, f"{name}.fc2", hidden, channels)
 
     def __call__(self, tokens, grid):
-        if not is_grad_enabled():
-            return Tensor(self._planes(tokens.data, grid))
-        hidden = depthwise_conv3d_tokens(self.fc1(tokens), grid, self.dw_weight, self.dw_bias)
-        return self.fc2(hidden.gelu())
+        w1, b1, w2, b2 = self.fc1.weight, self.fc1.bias, self.fc2.weight, self.fc2.bias
+        parents = (tokens, w1, b1, self.dw_weight, self.dw_bias, w2, b2)
+        # what backward reads, kept only if the node is recorded
+        saved = [] if is_grad_enabled() and any(p.requires_grad for p in parents) else None
+        out = self._planes(tokens.data, grid, saved)
 
-    def _planes(self, x, grid):
-        """The forward on (N, L, C) arrays, one block of output depth planes
-        at a time, as many as `_DEPTHWISE_BLOCK` holds. A block runs fc1 on
-        its planes and the plane either side that its taps read, then the
-        taps, GELU and fc2, whose rows go straight into the output. Each
-        value is summed in the graph's order (`_blas_blocks`), so the output
-        has the graph's bits."""
+        def backward_fn(g):
+            # fc2, GELU, the conv and fc1 as their Tensor ops' backward, bit for bit
+            taps, padded, act, cdf = saved
+            saved.clear()
+            _accumulate(b2, g.sum(axis=(0, 1)))
+            _accumulate(w2, ((act * cdf).swapaxes(-1, -2) @ g).sum(axis=0))
+            g = g @ w2.data.swapaxes(-1, -2)
+            pdf = np.exp(-0.5 * act * act) / act.dtype.type(np.sqrt(2.0 * np.pi))
+            g = g * (cdf + act * pdf)
+            del act, cdf, pdf
+            dpre, dtaps = _depthwise_grads(
+                padded, taps, g.reshape(len(padded), *grid, -1), 3, 1, 1, True, True
+            )
+            del padded
+            _accumulate(self.dw_weight, dtaps[0].T.reshape(self.dw_weight.shape))
+            _accumulate(self.dw_bias, g.sum(axis=(0, 1)))
+            g = dpre.reshape(g.shape)
+            _accumulate(b1, g.sum(axis=(0, 1)))
+            _accumulate(tokens, g @ w1.data.swapaxes(-1, -2))
+            _accumulate(w1, (tokens.data.swapaxes(-1, -2) @ g).sum(axis=0))
+
+        return Tensor._from_op(out, parents, backward_fn)
+
+    def _planes(self, x, grid, saved=None):
+        """The forward on (N, L, C) arrays, a block of output depth planes at
+        a time: fc1 on its planes and the plane either side that its taps
+        read, then the taps, GELU and fc2 into the output's rows. With no
+        `saved` list a block is one sample's planes, as many as
+        `_DEPTHWISE_BLOCK` holds; with one it is the whole batch and grid,
+        and `saved` takes what backward reads. Each value is summed as the
+        one block sums it (`_blas_blocks`), so both give the same bits."""
         n, _, c = x.shape
         d, h, w = grid
         plane = h * w
@@ -435,21 +463,28 @@ class _MixFFN:
         hidden = w1.shape[1]
         taps = np.ascontiguousarray(self.dw_weight.data.reshape(hidden, 27).T)[None]
         out = np.empty((n, d * plane, c), dtype=np.result_type(x, w1, w2))
-        zb = max(1, _DEPTHWISE_BLOCK // (plane * hidden))
+        zb = max(1, _DEPTHWISE_BLOCK // (plane * hidden)) if saved is None else d
         bounds = _blas_blocks(d, zb, plane * c * hidden, plane)
-        for i, (z0, z1) in product(range(n), zip(bounds, bounds[1:])):
+        samples = [slice(i, i + 1) for i in range(n)] if saved is None else [slice(None)]
+        for i, (z0, z1) in product(samples, zip(bounds, bounds[1:])):
             lo, hi = max(z0 - 1, 0), min(z1 + 1, d)
-            pre = x[i, lo * plane : hi * plane] @ w1
+            pre = (x[i, lo * plane : hi * plane] @ w1).reshape(-1, hi - lo, h, w, hidden)
             pre += b1
-            padded = np.zeros((1, z1 - z0 + 2, h + 2, w + 2, hidden), dtype=pre.dtype)
-            padded[0, lo - z0 + 1 : hi - z0 + 1, 1:-1, 1:-1] = pre.reshape(hi - lo, h, w, hidden)
+            padded = np.zeros((len(pre), z1 - z0 + 2, h + 2, w + 2, hidden), dtype=pre.dtype)
+            padded[:, lo - z0 + 1 : hi - z0 + 1, 1:-1, 1:-1] = pre
             del pre
-            act = _depthwise(padded, taps, 3, 1, (z1 - z0, h, w)).reshape(-1, hidden)
+            act = _depthwise(padded, taps, 3, 1, (z1 - z0, h, w)).reshape(len(padded), -1, hidden)
+            if saved is not None:
+                saved += [taps, padded]
             del padded
             act += self.dw_bias.data
+            gelu, cdf = gelu_values(act)
             rows = out[i, z0 * plane : z1 * plane]
-            np.matmul(gelu_values(act)[0], w2, out=rows)
+            np.matmul(gelu, w2, out=rows)
             rows += b2
+            if saved is not None:
+                saved += [act, cdf]
+            del act, gelu, cdf
         return out
 
 

@@ -17,14 +17,13 @@ from .autodiff import (
     Parameter,
     Tensor,
     conv3d,
-    depthwise_conv3d_tokens,
     no_grad,
     transpose_conv3d,
 )
 from .autodiff.gradcheck import gradcheck
 from .harmonize import EmpiricalCDF, HarmonizationMapping, build_cdf, ks_statistic, match_histogram
 from .metrics import _boundary, connected_components, dice, hd95, keep_largest_per_class
-from .model import GliomaForgeNet, ModelConfig, _MixFFN, _StemInput, _Store, _to_grid, _to_tokens
+from .model import GliomaForgeNet, ModelConfig, _MixFFN, _StemInput, _Store
 from .nifti import (
     DEFAULT_VOX_OFFSET,
     SegmentationMask,
@@ -288,11 +287,32 @@ def random_mix_ffn(channels, expansion, seed):
     return ffn
 
 
+def mix_ffn_gradcheck(seed):
+    """Gradcheck a float64 Mix-FFN node w.r.t. its tokens and its six
+    parameters, which its hand-written backward reaches. Random biases
+    throughout, and a grid whose every voxel has taps on the zero padding."""
+    ffn = _MixFFN(_Store(seed, np.float64), "ffn", 2, 2)
+    rng = np.random.default_rng(seed)
+    grid = (3, 2, 2)
+    upstream = Tensor(rng.normal(size=(2, 12, 2)))
+    slots = [(ffn.fc1, "weight"), (ffn.fc1, "bias"), (ffn, "dw_weight"), (ffn, "dw_bias"),
+             (ffn.fc2, "weight"), (ffn.fc2, "bias")]
+
+    def build(ts):
+        for (layer, name), t in zip(slots, ts[1:]):
+            setattr(layer, name, t)
+        return (ffn(ts[0], grid) * upstream).sum()
+
+    shapes = [upstream.shape] + [getattr(*slot).shape for slot in slots]
+    return gradcheck(build, [rng.normal(size=shape) for shape in shapes])
+
+
 def mix_ffn_blocks_check(seed):
     """The no-grad Mix-FFN, run a block of depth planes at a time, against
-    the graph, to the bit: at stage-1 widths in 2-plane blocks with a 1-plane
-    tail, and at stage-3 widths, whose short tail joins its block. A BLAS
-    whose row blocks sum otherwise than the whole product fails here."""
+    the recorded node's one block of the whole batch and grid, to the bit:
+    at stage-1 widths in 2-plane blocks with a 1-plane tail, and at stage-3
+    widths, whose short tail joins its block. A BLAS whose row blocks sum
+    otherwise than the whole product fails here."""
     rng = np.random.default_rng(seed)
     for channels, grid in ((32, (5, 16, 16)), (160, (12, 3, 3))):
         ffn = random_mix_ffn(channels, 4, seed)
@@ -368,29 +388,7 @@ def suite_model_contract(seed):
     # the whole grid's (OpenBLAS has a separate kernel for small products)
     x = np.random.default_rng(seed).normal(size=(1, 4, 32, 64, 64)).astype(np.float32)
     stem_merge_fold_check(GliomaForgeNet(config=ModelConfig(**SMALL_MODEL), seed=seed), Tensor(x))
-    # Mix-FFN runs the depthwise kernel on its tokens, channels last; conv3d
-    # on the permuted grid runs it channels first, with the same sums
-    rng = np.random.default_rng(seed)
-    grid = (3, 5, 2)
-    t = rng.normal(size=(2, 30, 4)).astype(np.float32)
-    w = rng.normal(size=(4, 1, 3, 3, 3)).astype(np.float32)
-    upstream = Tensor(rng.normal(size=t.shape).astype(np.float32))
-    runs = []
-    for op in (
-        lambda x, w: depthwise_conv3d_tokens(x, grid, w),
-        lambda x, w: _to_tokens(conv3d(_to_grid(x, grid), w, padding=1, groups=4)),
-    ):
-        xt, wt = Tensor(t, requires_grad=True), Tensor(w, requires_grad=True)
-        out = op(xt, wt)
-        (out * upstream).sum().backward()
-        runs.append((out.data, xt.grad, wt.grad))
-    (out, dx, dw), (ref, ref_dx, ref_dw) = runs
-    _check(out.tobytes() == ref.tobytes(), "depthwise token conv forward != conv3d on the grid")
-    _check(dx.tobytes() == ref_dx.tobytes(), "depthwise token conv input grad != conv3d's")
-    _check(
-        np.allclose(dw, ref_dw, rtol=1e-5, atol=1e-5 * np.abs(ref_dw).max()),
-        "depthwise token conv weight grad != conv3d's",
-    )
+    mix_ffn_gradcheck(seed)
 
 
 def suite_loss_optimizer(seed):

@@ -14,7 +14,6 @@ from gliomaforge.autodiff import (
     channel_max,
     concat,
     conv3d,
-    depthwise_conv3d_tokens,
     global_avg_pool,
     gradcheck,
     layer_norm,
@@ -28,7 +27,6 @@ from gliomaforge.autodiff import (
 from gliomaforge.autodiff import conv as conv_module
 from gliomaforge.autodiff.conv import _blas_blocks, _correlate, _correlate_adjoint
 from gliomaforge.errors import CheckpointError, GraphReleasedError, ShapeError
-from gliomaforge.model import _to_grid, _to_tokens
 
 
 class TestElementwise:
@@ -283,64 +281,6 @@ class TestDepthwiseConv:
         w = Tensor(rng.normal(size=(2, 1, 3, 3, 3)), requires_grad=True)
         conv3d(x, w, stride=2, padding=1, groups=2).sum().backward()
         assert x.grad.shape == x.shape and w.grad.shape == w.shape
-
-
-class TestDepthwiseTokens:
-    """The token op runs the depthwise kernel channels last; conv3d on the
-    permuted grid runs it channels first, and is its oracle."""
-
-    @pytest.mark.parametrize(
-        "block", [None, 130, 60], ids=["one-block", "sample-blocks", "plane-blocks"]
-    )
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_equals_conv3d_on_the_grid(self, monkeypatch, block, n):
-        # 3x5x2 planes hold 40 elements; a block of 130 splits the samples,
-        # one of 60 the depth planes as well
-        if block is not None:
-            monkeypatch.setattr(conv_module, "_DEPTHWISE_BLOCK", block)
-        grid, c = (3, 5, 2), 4
-        rng = np.random.default_rng(60 + n)
-        t = rng.normal(size=(n, 30, c)).astype(np.float32)
-        w = rng.normal(size=(c, 1, 3, 3, 3)).astype(np.float32)
-        b = rng.normal(size=(c,)).astype(np.float32)
-        upstream = Tensor(rng.normal(size=(n, 30, c)).astype(np.float32))
-        ops = (
-            lambda x, w, b: depthwise_conv3d_tokens(x, grid, w, b),
-            lambda x, w, b: _to_tokens(conv3d(_to_grid(x, grid), w, bias=b, padding=1, groups=c)),
-        )
-        runs = []
-        for op in ops:
-            leaves = [Tensor(a, requires_grad=True) for a in (t, w, b)]
-            out = op(*leaves)
-            (out * upstream).sum().backward()
-            runs.append([out.data] + [leaf.grad for leaf in leaves])
-        (out, dx, dw, db), (ref, ref_dx, ref_dw, ref_db) = runs
-        assert out.dtype == ref.dtype and out.shape == ref.shape
-        assert out.tobytes() == ref.tobytes()
-        assert dx.tobytes() == ref_dx.tobytes()
-        np.testing.assert_allclose(dw, ref_dw, rtol=1e-5)
-        np.testing.assert_allclose(db, ref_db, rtol=1e-5)
-
-    def test_gradcheck_weighted(self):
-        # a random upstream weight, as in TestDepthwiseConv
-        rng = np.random.default_rng(63)
-        grid = (3, 5, 2)
-        weight = Tensor(rng.normal(size=(2, 30, 3)))
-        err = gradcheck(
-            lambda t: (depthwise_conv3d_tokens(t[0], grid, t[1], t[2]) * weight).sum(),
-            [rng.normal(size=(2, 30, 3)), rng.normal(size=(3, 1, 3, 3, 3)),
-             rng.normal(size=(3,))],
-        )
-        assert err < 1e-4
-
-    def test_shape_errors(self):
-        tokens = Tensor(np.zeros((1, 8, 3)))
-        with pytest.raises(ShapeError):  # 8 tokens are not a 2x2x3 grid
-            depthwise_conv3d_tokens(tokens, (2, 2, 3), Tensor(np.zeros((3, 1, 3, 3, 3))))
-        with pytest.raises(ShapeError):  # an even kernel has no centre
-            depthwise_conv3d_tokens(tokens, (2, 2, 2), Tensor(np.zeros((3, 1, 2, 2, 2))))
-        with pytest.raises(ShapeError):
-            depthwise_conv3d_tokens(tokens, (2, 2, 2), Tensor(np.zeros((4, 1, 3, 3, 3))))
 
 
 class TestNonOverlappingWindows:

@@ -302,15 +302,18 @@ import gliomaforge
 assert "scipy" not in sys.modules, "import gliomaforge"
 from gliomaforge import cli
 assert "scipy" not in sys.modules, "import gliomaforge.cli"
+assert "concurrent.futures" not in sys.modules, "import gliomaforge.cli"
 rc = cli.main(["stratify", "--features", sys.argv[1], "--k", "2", "--folds", "2",
                "--out", sys.argv[2], "--seed", "1"])
 assert rc == 0, rc
 assert "scipy" not in sys.modules, "stratify"
+assert "concurrent.futures" not in sys.modules, "stratify"
 """
 
 
 def test_scipy_is_imported_only_where_used(tmp_path):
-    """Import and the subcommands that never call scipy do not pay for it."""
+    """Import and the subcommands that never call scipy or a process pool
+    do not pay for them."""
     src = os.path.dirname(os.path.dirname(gliomaforge.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     table = _features_table(tmp_path / "f.csv", n=6)
@@ -920,6 +923,15 @@ class TestTrainingCommands:
                    "--config", str(cfg), "--epochs", "1"])
         assert rc == EXIT_DATA
         assert "gliomaforge: error:" in capsys.readouterr().err
+
+    def test_negative_stage_strides_is_data_error(self, workspace, tmp_path, capsys):
+        # their product is 32, so only the positivity check stops them
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(TINY_CFG + "stage_strides = -4,-2,2,2\n")  # lands in [model]
+        rc = main(["pretrain", "--data", str(workspace["harm"]), "--out", str(tmp_path / "o.ck"),
+                   "--config", str(cfg), "--epochs", "1"])
+        assert rc == EXIT_DATA
+        assert "config values must be positive" in capsys.readouterr().err
 
     def test_bad_seg_payload_is_data_error(self, workspace, tmp_path, capsys):
         data = tmp_path / "harm"

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from gliomaforge import model as model_module
-from gliomaforge.autodiff import Tensor, load_checkpoint, no_grad
+from gliomaforge.autodiff import Tensor, conv3d, load_checkpoint, no_grad
 from gliomaforge.autodiff import conv as conv_module
+from gliomaforge.autodiff.tensor import _accumulate
 from gliomaforge.errors import CheckpointError, ConfigError, ShapeError
 from gliomaforge.model import (
     GliomaForgeNet,
@@ -16,9 +17,15 @@ from gliomaforge.model import (
     _Attention,
     _MixFFN,
     _Store,
+    _to_grid,
     _to_tokens,
 )
-from gliomaforge.selftest import decoder_gradcheck, random_mix_ffn, stem_merge_fold_check
+from gliomaforge.selftest import (
+    decoder_gradcheck,
+    mix_ffn_gradcheck,
+    random_mix_ffn,
+    stem_merge_fold_check,
+)
 
 SMALL = dict(
     stage_channels=[8, 16, 32, 64],
@@ -76,8 +83,11 @@ class TestConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [{"channel_attn_reduction": 0}, {"channel_attn_reduction": -8},
-         {"stage_heads": [1, 0, 5, 8]}],
-        ids=["reduction-zero", "reduction-negative", "head-zero"],
+         {"stage_heads": [1, 0, 5, 8]}, {"stage_strides": [-4, -2, 2, 2]},
+         {"spatial_attn_kernel": -1}, {"stage_channels": [0, 96, 192, 384]},
+         {"sr_ratios": [0, 4, 2, 1]}, {"sr_ratios": [-8, 4, 2, 1]}],
+        ids=["reduction-zero", "reduction-negative", "head-zero", "strides-negative",
+             "kernel-negative", "channels-zero", "sr-zero", "sr-negative"],
     )
     def test_nonpositive_heads_and_reduction_rejected(self, kwargs):
         with pytest.raises(ConfigError):
@@ -607,6 +617,126 @@ class TestMixFFNMemory:
         padded_block = 4 * 18 * 18 * 128 * 4
         assert extra[32] <= 3 * padded_block
         assert extra[32] <= extra[8] + (16 << 10)
+
+
+def _depthwise_tokens(tokens, grid, w, bias):
+    """The stride-1 depthwise 3^3 conv on (N, L, C) tokens as one graph op,
+    as the Mix-FFN ran it when it was a graph of ops."""
+    n, length, c = tokens.shape
+    padded = np.pad(tokens.data.reshape(n, *grid, c), ((0, 0),) + ((1, 1),) * 3 + ((0, 0),))
+    taps = np.ascontiguousarray(w.data.reshape(c, 27).T)[None]
+    out = conv_module._depthwise(padded, taps, 3, 1, grid)
+    out += bias.data
+
+    def backward_fn(g):
+        dx, dtaps = conv_module._depthwise_grads(
+            padded, taps, g.reshape(n, *grid, c), 3, 1, 1, tokens.requires_grad, w.requires_grad
+        )
+        if dtaps is not None:
+            _accumulate(w, dtaps[0].T.reshape(w.shape))
+        if dx is not None:
+            _accumulate(tokens, dx.reshape(tokens.shape))
+        _accumulate(bias, g.sum(axis=(0, 1)))
+
+    return Tensor._from_op(out.reshape(n, length, c), (tokens, w, bias), backward_fn)
+
+
+def composed_mix_ffn(ffn, tokens, grid):
+    """fc1, the depthwise conv, GELU and fc2 as a graph of Tensor ops: the
+    reference whose bits the node keeps."""
+    hidden = _depthwise_tokens(ffn.fc1(tokens), grid, ffn.dw_weight, ffn.dw_bias)
+    return ffn.fc2(hidden.gelu())
+
+
+def conv3d_mix_ffn(ffn, tokens, grid):
+    """The Mix-FFN with its depthwise conv run by conv3d on the permuted
+    grid, channels first."""
+    hidden = ffn.fc1(tokens)
+    conv = conv3d(_to_grid(hidden, grid), ffn.dw_weight, bias=ffn.dw_bias, padding=1,
+                  groups=hidden.shape[-1])
+    return ffn.fc2(_to_tokens(conv).gelu())
+
+
+def mix_ffn_grads(ffn, forward, tokens, grid, upstream):
+    """forward's output, then the gradients of the tokens and of ffn's six
+    parameters under `upstream`."""
+    params = [ffn.fc1.weight, ffn.fc1.bias, ffn.dw_weight, ffn.dw_bias, ffn.fc2.weight,
+              ffn.fc2.bias]
+    for p in params:
+        p.zero_grad()
+    x = Tensor(tokens, requires_grad=True)
+    out = forward(x, grid)
+    (out * upstream).sum().backward()
+    return [out.data, x.grad] + [p.grad for p in params]
+
+
+MIX_FFN_OUTPUTS = ["out", "tokens", "fc1.weight", "fc1.bias", "dw.weight", "dw.bias",
+                   "fc2.weight", "fc2.bias"]
+
+
+class TestMixFFNNode:
+    """`_MixFFN` is one graph node with a hand-written backward."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize(
+        "channels, expansion, grid",
+        [(8, 2, (4, 8, 8)), (48, 4, (8, 8, 8)), (192, 4, (2, 2, 2))],
+        ids=["small-stage1", "default-stage1", "default-stage3"],
+    )
+    def test_equals_composed_graph(self, n, channels, expansion, grid):
+        ffn = random_mix_ffn(channels, expansion, seed=n)
+        rng = np.random.default_rng(40 + n)
+        tokens = rng.normal(size=(n, math.prod(grid), channels)).astype(np.float32)
+        upstream = Tensor(rng.normal(size=tokens.shape).astype(np.float32))
+        node = mix_ffn_grads(ffn, ffn, tokens, grid, upstream)
+        graph = mix_ffn_grads(
+            ffn, lambda x, g: composed_mix_ffn(ffn, x, g), tokens, grid, upstream
+        )
+        for name, got, want in zip(MIX_FFN_OUTPUTS, node, graph):
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize(
+        "block", [None, 130, 60], ids=["one-block", "sample-blocks", "plane-blocks"]
+    )
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_equals_conv3d_on_the_grid(self, monkeypatch, block, n):
+        # 3x5x2 planes of 4 hidden channels hold 40 elements; a block of 130
+        # splits the samples, one of 60 the depth planes as well
+        if block is not None:
+            monkeypatch.setattr(conv_module, "_DEPTHWISE_BLOCK", block)
+        grid = (3, 5, 2)
+        ffn = random_mix_ffn(2, 2, seed=60 + n)
+        rng = np.random.default_rng(60 + n)
+        tokens = rng.normal(size=(n, 30, 2)).astype(np.float32)
+        upstream = Tensor(rng.normal(size=tokens.shape).astype(np.float32))
+        out, dx, _, _, dw, db, _, _ = mix_ffn_grads(ffn, ffn, tokens, grid, upstream)
+        ref, ref_dx, _, _, ref_dw, ref_db, _, _ = mix_ffn_grads(
+            ffn, lambda x, g: conv3d_mix_ffn(ffn, x, g), tokens, grid, upstream
+        )
+        assert out.dtype == ref.dtype and out.shape == ref.shape
+        assert out.tobytes() == ref.tobytes()
+        assert dx.tobytes() == ref_dx.tobytes()
+        np.testing.assert_allclose(dw, ref_dw, rtol=1e-5)
+        np.testing.assert_allclose(db, ref_db, rtol=1e-5)
+
+    def test_gradcheck(self):
+        assert mix_ffn_gradcheck(seed=3) < 1e-4
+
+    def test_forward_keeps_what_backward_reads(self):
+        # A recorded forward holds its output, the zero-padded fc1 output,
+        # GELU's input and its CDF, and the (tiny) taps. The graph of ops
+        # held three more hidden-sized arrays and fc2's output besides.
+        n, grid, channels, hidden = 2, (8, 8, 6), 16, 64
+        ffn = random_mix_ffn(channels, 4, seed=7)
+        rng = np.random.default_rng(19)
+        tokens = Tensor(rng.normal(size=(n, 384, channels)).astype(np.float32))
+        ffn(tokens, grid)  # imports GELU's erf
+        out, held, _ = traced(lambda: ffn(tokens, grid))
+        assert out._backward_fn is not None
+        padded = n * 10 * 10 * 8 * hidden * 4
+        act = n * 384 * hidden * 4
+        assert held <= out.data.nbytes + padded + 2 * act + (16 << 10)
 
 
 class TestDeferredDraw:
