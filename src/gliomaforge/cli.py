@@ -187,12 +187,14 @@ def _harmonize_cases(paths, files, out_dir, cdfs, quantiles, compress):
                 tmp = stage(Path(out_dir) / f"{case_id}-{name}{ext}")
                 if name == "seg":
                     save_mask(tmp, item)
-                    continue
-                try:
-                    item = match_histogram(item, cdfs[name], quantiles=quantiles)
-                except GliomaForgeError as err:
-                    raise type(err)(f"{path}: {err}") from err
-                save_volume(tmp, item)
+                else:
+                    try:
+                        item = match_histogram(item, cdfs[name], quantiles=quantiles)
+                    except GliomaForgeError as err:
+                        raise type(err)(f"{path}: {err}") from err
+                    save_volume(tmp, item)
+                # the written grid goes before the next file is awaited
+                del item
         yield case_id
 
 

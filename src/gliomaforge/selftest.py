@@ -5,6 +5,7 @@ identities, finite differences) so a deployment can verify the build
 without the development test harness installed.
 """
 
+import gzip
 import io
 import math
 import os
@@ -25,11 +26,14 @@ from .harmonize import EmpiricalCDF, HarmonizationMapping, build_cdf, ks_statist
 from .metrics import _boundary, connected_components, dice, hd95, keep_largest_per_class
 from .model import GliomaForgeNet, ModelConfig, _MixFFN, _StemInput, _Store
 from .nifti import (
+    _BLOCK_BYTES,
     DEFAULT_VOX_OFFSET,
     SegmentationMask,
     Volume,
+    load_volume,
     read_mask,
     read_volume,
+    save_volume,
     write_mask,
     write_volume,
 )
@@ -81,6 +85,30 @@ def suite_format_roundtrip(seed):
     _check(np.array_equal(back.labels, labels), "uint8 mask changed in round-trip")
     _check(back.labels.flags.c_contiguous, "uint8 mask not in C layout")
     _check(back.spacing == (1.0, 1.0, 2.0), "mask spacing changed in round-trip")
+    # files are written and read a block of last-axis planes at a time: a
+    # volume of two blocks and a short third, against one NIfTI-order copy
+    # of its grid
+    dims = (64, 64, 2 * (_BLOCK_BYTES // (64 * 64 * 4)) + 3)
+    data = rng.normal(size=dims).astype(np.float32)
+    vol = Volume.from_array(data, spacing=(1.0, 1.0, 2.0))
+    want = write_volume(vol)
+    _check(
+        want[DEFAULT_VOX_OFFSET:] == data.tobytes(order="F"),
+        "payload of a volume of many blocks is not its grid in NIfTI order",
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        for suffix in (".nii", ".nii.gz"):
+            path = os.path.join(tmp, "v" + suffix)
+            save_volume(path, vol)
+            with open(path, "rb") as fh:
+                written = fh.read()
+            if suffix == ".nii.gz":
+                written = gzip.decompress(written)
+            _check(written == want, f"streamed {suffix} write differs from write_volume")
+            _check(
+                np.array_equal(load_volume(path).data, data),
+                f"streamed {suffix} read of a volume of many blocks changed it",
+            )
 
 
 def suite_harmonization(seed):
@@ -119,6 +147,23 @@ def suite_harmonize_contract(seed):
     want = np.interp(levels, (np.arange(n) + 0.5) / n, values)
     differ = np.count_nonzero(got.view(np.int64) != want.view(np.int64))
     _check(differ == 0, f"quantile differs from np.interp at {differ} levels")
+    # float32 samples are sorted and searched as float32: the levels,
+    # quantiles and knots of the float64 path, to the bit
+    sample = values[values != 0].astype(np.float32)
+    samples = sample, sample.astype(np.float64)
+    cdfs = [build_cdf(s) for s in samples]
+    _check(cdfs[0].values.dtype == np.float32, "float32 samples were widened")
+    keys = np.concatenate([samples[1], np.nextafter(samples[1], np.inf), rng.normal(size=1000)])
+    fits = [HarmonizationMapping.fit(s, cdf, quantiles=64) for s, cdf in zip(samples, cdfs)]
+    for what, (got, want) in {
+        "levels": [cdf.evaluate(keys) for cdf in cdfs],
+        "quantiles": [cdf.quantile(levels) for cdf in cdfs],
+        "source knots": [fit.source_knots for fit in fits],
+        "reference knots": [fit.reference_knots for fit in fits],
+    }.items():
+        _check(got.dtype == np.float64, f"float32 CDF {what} are {got.dtype}, not float64")
+        differ = np.count_nonzero(got.view(np.int64) != want.view(np.int64))
+        _check(differ == 0, f"float32 CDF {what} differ from the float64 path's at {differ} places")
 
 
 def suite_radiomics(seed):

@@ -140,6 +140,10 @@ def composite_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
 # -- optimizer and schedule ------------------------------------------------
 
 
+# `AdamW.step` updates this many elements of a parameter at a time
+_ADAMW_CHUNK = 1 << 15
+
+
 class AdamW:
     """Adam with decoupled weight decay applied to the pre-step parameters."""
 
@@ -156,22 +160,41 @@ class AdamW:
         lr = self.lr if lr is None else lr
         self.step_count += 1
         t = self.step_count
-        # in place, in the order of the textbook update, so each array holds
-        # the same bits as m = b1*m + (1-b1)*g ... theta = theta - lr*update
+        b1, b2 = self.beta1, self.beta2
+        scratch = {}
+        # the ufuncs of the textbook update, in its order, in place, a chunk
+        # at a time through two reused scratch arrays: each array holds the
+        # same bits as m = b1*m + (1-b1)*g ... theta = theta - lr*update,
+        # and no parameter-sized temporary is made
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            update = m / (1.0 - self.beta1**t)
-            denom = v / (1.0 - self.beta2**t)
-            np.sqrt(denom, out=denom)
-            denom += self.eps
-            update /= denom
-            update += self.weight_decay * p.data
-            update *= lr
-            p.data -= update
+            if p.dtype not in scratch:
+                scratch[p.dtype] = [np.empty(_ADAMW_CHUNK, p.dtype) for _ in range(2)]
+            # the gradient is only read, so it may be flattened by a copy
+            flat = [_flat(p.data), g.reshape(-1), _flat(m), _flat(v)]
+            for start in range(0, p.data.size, _ADAMW_CHUNK):
+                pc, gc, mc, vc = (x[start : start + _ADAMW_CHUNK] for x in flat)
+                a, b = (s[: pc.size] for s in scratch[p.dtype])
+                mc *= b1
+                mc += np.multiply(1.0 - b1, gc, out=a)
+                vc *= b2
+                np.multiply(gc, gc, out=a)
+                vc += np.multiply(1.0 - b2, a, out=a)
+                update = np.divide(mc, 1.0 - b1**t, out=a)
+                denom = np.divide(vc, 1.0 - b2**t, out=b)
+                np.sqrt(denom, out=denom)
+                denom += self.eps
+                update /= denom
+                update += np.multiply(self.weight_decay, pc, out=b)
+                update *= lr
+                pc -= update
+
+
+def _flat(a: np.ndarray) -> np.ndarray:
+    """A 1-d view of `a`, which `AdamW.step` updates in place through it."""
+    if not a.flags.c_contiguous:
+        raise ValueError(f"AdamW updates C-contiguous arrays in place, got strides {a.strides}")
+    return a.reshape(-1)
 
 
 def cosine_lr(epoch: int, total: int, lr0: float) -> float:

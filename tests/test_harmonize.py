@@ -347,3 +347,70 @@ class TestQuantileBrackets:
         finally:
             tracemalloc.stop()
         assert peak < cdf.values.nbytes // 16, peak
+
+
+class TestFloat32Samples:
+    """float32 samples are sorted and searched as float32; every value,
+    level, quantile and knot keeps the bits of the float64 path."""
+
+    @pytest.fixture
+    def samples(self):
+        rng = np.random.default_rng(5)
+        # negatives, a spread of magnitudes, and many ties
+        values = (np.round(rng.normal(size=20_001) * 50, 1) * rng.choice([1, 1e-3, 1e4], 20_001))
+        values = values.astype(np.float32)
+        values[::7] = values[0]
+        # -0.0 and +0.0 compare equal, so no sort keeps their order
+        values[values == 0] = 0.0
+        return values
+
+    def bits(self, a):
+        return np.asarray(a, dtype=np.float64).view(np.int64)
+
+    def test_values_widen_to_the_float64_sort(self, samples):
+        cdf32 = EmpiricalCDF.from_samples(samples)
+        cdf64 = EmpiricalCDF.from_samples(samples.astype(np.float64))
+        assert cdf32.values.dtype == np.float32 and cdf64.values.dtype == np.float64
+        assert np.array_equal(cdf32.values.astype(np.float64), cdf64.values)
+
+    def test_quantile_and_evaluate(self, samples):
+        cdf32 = EmpiricalCDF.from_samples(samples)
+        cdf64 = EmpiricalCDF.from_samples(samples.astype(np.float64))
+        rng = np.random.default_rng(6)
+        n = samples.size
+        levels = np.concatenate([rng.uniform(-0.1, 1.1, 5000), (np.arange(0, n, 13) + 0.5) / n,
+                                 [0.0, 1.0]])
+        assert np.array_equal(self.bits(cdf32.quantile(levels)), self.bits(cdf64.quantile(levels)))
+        wide = samples.astype(np.float64)
+        exact = np.concatenate([wide, [np.inf, -np.inf, np.nan, 0.0]])
+        # float64 keys between float32 values: one ulp of float64 away, and
+        # past float32's range
+        between = np.concatenate([np.nextafter(wide, np.inf), np.nextafter(wide, -np.inf),
+                                  rng.normal(size=1000) * 50, [1e39, -1e39]])
+        for keys in (exact, between, np.concatenate([exact, between[:10]]), 3.5, -7.25e-3):
+            assert np.array_equal(self.bits(cdf32.evaluate(keys)), self.bits(cdf64.evaluate(keys)))
+
+    @pytest.mark.parametrize("quantiles", [2, 256, 5000])
+    def test_fit_and_apply(self, samples, quantiles):
+        rng = np.random.default_rng(7)
+        reference = rng.lognormal(3.0, 1.0, size=30_000).astype(np.float32)
+        fits = [
+            HarmonizationMapping.fit(samples.astype(dtype), build_cdf(reference.astype(dtype)),
+                                     quantiles=quantiles)
+            for dtype in (np.float32, np.float64)
+        ]
+        for got, want in zip(
+            (fits[0].source_knots, fits[0].reference_knots, fits[0].apply(samples)),
+            (fits[1].source_knots, fits[1].reference_knots, fits[1].apply(samples)),
+        ):
+            assert got.dtype == np.float64
+            assert np.array_equal(self.bits(got), self.bits(want))
+
+    def test_build_cdf_keeps_float32_and_match_histogram_its_bits(self):
+        ref, src = ball_volume(seed=1, scale=3.0), ball_volume(seed=2, shift=-1.5)
+        cdf32, cdf64 = build_cdf(ref.data), build_cdf(ref.data.astype(np.float64))
+        assert cdf32.values.dtype == np.float32
+        assert np.array_equal(cdf32.values.astype(np.float64), cdf64.values)
+        assert build_cdf(np.array([0, 3, 1, 0, 2])).values.dtype == np.float64
+        got, want = match_histogram(src, cdf32), match_histogram(src, cdf64)
+        assert got.data.tobytes() == want.data.tobytes()

@@ -3,6 +3,7 @@
 import gzip
 import inspect
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -313,14 +314,14 @@ class TestLoadCase:
     )
     def test_gzip_members_and_zero_padding(self, tmp_path, split):
         # a payload of many inflate chunks, split over two members with zero
-        # bytes after each; the short last member's trailer undersizes the
-        # output buffer, which must grow
+        # bytes after each
         vol = make_volume(shape=(60, 50, 40), seed=8)
         raw = nifti.write_volume(vol)
         assert len(raw) > 4 * nifti._INFLATE_CHUNK
         parts = [raw[:split], raw[split:]] if split else [raw]
         (tmp_path / "v.nii.gz").write_bytes(b"".join(gzip.compress(p) + bytes(7) for p in parts))
-        assert nifti._read_bytes(tmp_path / "v.nii.gz") == raw
+        with nifti._open_payload(tmp_path / "v.nii.gz") as stream:
+            assert stream.read(len(raw) + 1) == raw
         assert np.array_equal(nifti.load_volume(tmp_path / "v.nii.gz").data, vol.data)
 
     @pytest.mark.parametrize(
@@ -357,9 +358,9 @@ class TestLoadCase:
     def test_read_header_checks_payload_length(self, tmp_path, suffix):
         buf = nifti.write_volume(make_volume())
         path = tmp_path / f"v{suffix}"
-        nifti._write_file(path, buf)
+        nifti._write_file(path, [buf])
         assert nifti.read_header(path).dims == (4, 4, 4)
-        nifti._write_file(path, buf[:-1])
+        nifti._write_file(path, [buf[:-1]])
         with pytest.raises(TruncatedDataError):
             nifti.read_header(path)
 
@@ -470,3 +471,190 @@ class TestBlockedTranspose:
             labels = nifti.read_mask(buf).labels
             assert labels.flags.c_contiguous
             assert np.array_equal(labels, np.array(raw, order="C"))
+
+
+def old_encode(data: np.ndarray, spacing, code: int) -> bytes:
+    """Reference encode: the whole file in one buffer, its payload one
+    transposed copy of the grid, as written before payloads streamed."""
+    hdr = np.zeros(1, dtype=nifti._header_dtype("<"))[0]
+    hdr["sizeof_hdr"] = nifti.HEADER_SIZE
+    hdr["regular"] = b"r"
+    hdr["dim"][:] = [3, *data.shape, 1, 1, 1, 1]
+    hdr["datatype"] = code
+    hdr["bitpix"] = {2: 8, 4: 16, 16: 32}[code]
+    hdr["pixdim"][:] = [1.0, *spacing, 0.0, 0.0, 0.0, 0.0]
+    hdr["vox_offset"] = float(nifti.DEFAULT_VOX_OFFSET)
+    hdr["scl_slope"] = 1.0
+    hdr["scl_inter"] = 0.0
+    hdr["xyzt_units"] = 2
+    hdr["magic"] = nifti.MAGIC_SINGLE
+    pad = b"\x00" * (nifti.DEFAULT_VOX_OFFSET - nifti.HEADER_SIZE)
+    return hdr.tobytes() + pad + np.ascontiguousarray(data.T).tobytes()
+
+
+def old_load(path) -> np.ndarray:
+    """Reference read: the whole file inflated into one buffer, then decoded
+    by the whole-buffer decoder."""
+    buf = path.read_bytes()
+    return old_read_volume(gzip.decompress(buf) if path.suffix == ".gz" else buf)
+
+
+class TestStreamedIO:
+    """Files are read and written a block of last-axis planes at a time; the
+    bytes and grids equal those of the whole-buffer reader and writer."""
+
+    PLANE_BYTES = 7 * 5 * 4  # one plane of a 7x5 float32 grid
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        # blocks of 3 float32, 6 int16 or 12 uint8 planes: a depth of 10
+        # ends in a short block of float32 or int16 planes
+        monkeypatch.setattr(nifti, "_BLOCK_BYTES", 3 * self.PLANE_BYTES)
+
+    @pytest.mark.parametrize("depth", [1, 3, 10])
+    @pytest.mark.parametrize(
+        "kind", ["uint8", "int16", "float32", "scaled-uint8", "scaled-int16", "scaled-float32"]
+    )
+    @pytest.mark.parametrize("swap", [False, True], ids=["little", "big"])
+    @pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+    def test_decode_and_encode_equal_whole_buffer_copies(
+        self, tmp_path, depth, kind, swap, suffix
+    ):
+        code = {"uint8": 2, "int16": 4, "float32": 16}[kind.removeprefix("scaled-")]
+        dtype = {2: np.uint8, 4: np.int16, 16: np.float32}[code]
+        rng = np.random.default_rng(depth)
+        data = rng.integers(-300 if code != 2 else 0, 256, size=(7, 5, depth))
+        data = (data * (1.25 if code == 16 else 1)).astype(dtype)
+        spacing = (1.0, 1.5, 2.0)
+        buf = old_encode(data, spacing, code)
+        chunks = list(nifti._encode(data, spacing, code))
+        assert b"".join(chunks) == buf
+        # the header, then one chunk per block
+        assert len(chunks) == 1 + -(-depth // (3 * 4 // data.itemsize))
+        if kind.startswith("scaled"):
+            buf = scaled(buf, 0.5, -3.25)
+        if swap:
+            buf = byteswapped_file(buf, dtype)
+        path = tmp_path / f"v{suffix}"
+        path.write_bytes(gzip.compress(buf) if suffix == ".nii.gz" else buf)
+        want = old_load(path)
+        got = nifti.load_volume(path).data
+        assert got.dtype == np.float32 and got.flags.c_contiguous
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+        assert np.array_equal(nifti.read_volume(buf).data.view(np.uint32), want.view(np.uint32))
+        if kind == "uint8":  # labels are copied out as uint8, not decoded as floats
+            labels = data % 4
+            buf = old_encode(labels, spacing, code)
+            path.write_bytes(gzip.compress(buf) if suffix == ".nii.gz" else buf)
+            assert np.array_equal(nifti.load_mask(path).labels, labels)
+
+    @pytest.mark.parametrize("depth", [1, 10])
+    @pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+    def test_saved_files_equal_old_encoder(self, tmp_path, depth, suffix):
+        vol = make_volume(shape=(7, 5, depth), spacing=(1.0, 1.5, 2.0), seed=depth)
+        labels = np.random.default_rng(depth).integers(0, 4, size=(7, 5, depth))
+        mask = nifti.SegmentationMask(labels=labels, spacing=(1.0, 1.5, 2.0))
+        for obj, want, save in ((vol, old_encode(vol.data, vol.spacing, 16), nifti.save_volume),
+                                (mask, old_encode(mask.labels, mask.spacing, 2), nifti.save_mask)):
+            save(tmp_path / f"x{suffix}", obj)
+            if suffix == ".nii.gz":
+                want = gzip.compress(want, mtime=0)
+            assert (tmp_path / f"x{suffix}").read_bytes() == want
+
+    @pytest.mark.parametrize("cuts", [[200], [352, 700], [1000, 1001, 1900]],
+                             ids=["in-header", "header-and-block", "three"])
+    def test_members_with_zero_padding(self, tmp_path, cuts):
+        vol = make_volume(shape=(7, 5, 10), seed=5)
+        raw = nifti.write_volume(vol)
+        bounds = [0, *cuts, len(raw)]
+        members = [gzip.compress(raw[a:b]) + bytes(3 * i) for i, (a, b) in
+                   enumerate(zip(bounds, bounds[1:]))]
+        path = tmp_path / "v.nii.gz"
+        path.write_bytes(b"".join(members))
+        assert np.array_equal(nifti.load_volume(path).data, vol.data)
+        assert nifti.read_header(path).dims == (7, 5, 10)
+
+    @pytest.mark.parametrize("keep", [100, 352, 352 + 140, 352 + 500, -1])
+    def test_truncated_nii_names_the_bytes_it_found(self, tmp_path, keep):
+        raw = nifti.write_volume(make_volume(shape=(7, 5, 10), seed=6))
+        path = tmp_path / "v.nii"
+        path.write_bytes(raw[:keep])
+        error = HeaderError if len(raw[:keep]) < nifti.HEADER_SIZE else TruncatedDataError
+        with pytest.raises(error) as caught:
+            nifti.load_volume(path)
+        with pytest.raises(error) as caught_header:
+            nifti.read_header(path)
+        if error is TruncatedDataError:
+            got = max(0, len(raw[:keep]) - nifti.DEFAULT_VOX_OFFSET)
+            assert str(caught.value) == str(caught_header.value)
+            assert str(caught.value).endswith(f"need 1400 bytes at offset 352, got {got}")
+
+    @pytest.mark.parametrize(
+        "damage, error",
+        [
+            (lambda gz: gz[:100], TruncatedDataError),  # inside a block
+            (lambda gz: gz[:-6], TruncatedDataError),  # inside the trailer
+            (lambda gz: gz[:-8] + bytes([gz[-8] ^ 1]) + gz[-7:], HeaderError),  # CRC
+            (lambda gz: gz[:-4] + bytes([gz[-4] ^ 1]) + gz[-3:], HeaderError),  # length
+            (lambda gz: gz + bytes(4) + b"\x1f\x8b", TruncatedDataError),  # a second member
+        ],
+        ids=["block", "trailer", "crc", "length", "second-member"],
+    )
+    def test_damaged_gzip_of_many_blocks(self, tmp_path, damage, error):
+        # incompressible voxels, so a cut early in the file ends the stream
+        # inside the payload
+        gz = gzip.compress(nifti.write_volume(make_volume(shape=(7, 5, 10), seed=7)))
+        path = tmp_path / "v.nii.gz"
+        path.write_bytes(damage(gz))
+        for read in (nifti.load_volume, nifti.read_header):
+            with pytest.raises(error):
+                read(path)
+
+    def test_short_payload_in_a_whole_gzip_stream(self, tmp_path):
+        raw = nifti.write_volume(make_volume(shape=(7, 5, 10), seed=8))
+        path = tmp_path / "v.nii.gz"
+        path.write_bytes(gzip.compress(raw[:-100]))
+        with pytest.raises(TruncatedDataError, match="got 1300$"):
+            nifti.load_volume(path)
+
+
+class TestStreamedIOMemory:
+    """Reading or writing a .nii.gz holds the grid, one block and one
+    chunk, not a whole inflated buffer or transposed copy."""
+
+    SHAPE = (96, 96, 64)
+    BLOCK = 1 << 18  # seven 36 KiB planes
+
+    # zlib's own state (deflate's window and hash tables take 262 KiB at
+    # level 9) and the output of one call
+    ZLIB = 384 << 10
+
+    @pytest.fixture
+    def volume_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(nifti, "_BLOCK_BYTES", self.BLOCK)
+        vol = make_volume(shape=self.SHAPE, seed=9)
+        path = tmp_path / "v.nii.gz"
+        nifti.save_volume(path, vol)
+        return vol, path
+
+    def traced_peak(self, work):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = work()
+            return tracemalloc.get_traced_memory()[1] - base, result
+        finally:
+            tracemalloc.stop()
+
+    def test_load_volume(self, volume_file):
+        vol, path = volume_file
+        peak, back = self.traced_peak(lambda: nifti.load_volume(path))
+        assert np.array_equal(back.data, vol.data)
+        grid = vol.data.nbytes
+        assert peak <= grid + self.BLOCK + 2 * nifti._INFLATE_CHUNK + self.ZLIB, peak / 2**20
+
+    def test_save_volume(self, volume_file, tmp_path):
+        vol, path = volume_file
+        peak, _ = self.traced_peak(lambda: nifti.save_volume(tmp_path / "w.nii.gz", vol))
+        assert (tmp_path / "w.nii.gz").read_bytes() == path.read_bytes()
+        assert peak <= self.BLOCK + 2 * nifti._INFLATE_CHUNK + self.ZLIB, peak / 2**20

@@ -318,6 +318,78 @@ class TestAdamW:
         assert all(x.dtype == dtype for x in after)
 
 
+def old_adamw_step(opt, lr):
+    """Reference step: the whole-array update, six parameter-sized
+    temporaries per parameter, as AdamW stepped before it went by chunks."""
+    opt.step_count += 1
+    t = opt.step_count
+    for p, m, v in zip(opt.params, opt.m, opt.v):
+        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        m *= opt.beta1
+        m += (1.0 - opt.beta1) * g
+        v *= opt.beta2
+        v += (1.0 - opt.beta2) * (g * g)
+        update = m / (1.0 - opt.beta1**t)
+        denom = v / (1.0 - opt.beta2**t)
+        np.sqrt(denom, out=denom)
+        denom += opt.eps
+        update /= denom
+        update += opt.weight_decay * p.data
+        update *= lr
+        p.data -= update
+
+
+class TestChunkedAdamW:
+    # one parameter longer than a chunk and of odd size, one short and odd,
+    # and one without a gradient
+    SHAPES = [(3, train._ADAMW_CHUNK // 3 + 7), (7,), (2, 3)]
+
+    def params(self, dtype, seed=0):
+        rng = np.random.default_rng(seed)
+        return [Parameter(rng.normal(size=s).astype(dtype), name=f"p{i}")
+                for i, s in enumerate(self.SHAPES)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bytes_equal_whole_array_step(self, dtype):
+        new, old = self.params(dtype), self.params(dtype)
+        opts = [AdamW(ps, lr=1e-3, weight_decay=1e-2) for ps in (new, old)]
+        rng = np.random.default_rng(1)
+        for t in range(4):
+            grads = [rng.normal(size=s).astype(dtype) for s in self.SHAPES[:-1]] + [None]
+            for ps in (new, old):
+                for p, g in zip(ps, grads):
+                    p.grad = None if g is None else g.copy()
+            opts[0].step(lr=1e-3 * (1 - 0.2 * t))
+            old_adamw_step(opts[1], 1e-3 * (1 - 0.2 * t))
+            for a, b in zip([p.data for p in new] + opts[0].m + opts[0].v,
+                            [p.data for p in old] + opts[1].m + opts[1].v):
+                assert a.dtype == dtype and a.tobytes() == b.tobytes()
+
+    def test_step_allocates_two_chunks(self):
+        params = self.params(np.float32)
+        for p in params:
+            p.grad = np.ones_like(p.data)
+        opt = AdamW(params)
+        opt.step()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            opt.step()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # the two float32 scratch chunks, the gradient-less parameter's
+        # zeros and small change; the whole-array step made six copies of
+        # the largest parameter (786 KiB)
+        assert peak <= 2 * 4 * train._ADAMW_CHUNK + (16 << 10), peak
+
+    def test_non_contiguous_parameter_is_refused(self):
+        p = Parameter(np.zeros((4, 3)).T, name="w")
+        p.grad = np.ones_like(p.data)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            AdamW([p]).step()
+
+
 class TestCosineSchedule:
     def test_endpoints_and_midpoint(self):
         assert cosine_lr(0, 10, 1e-4) == 1e-4
