@@ -6,11 +6,10 @@ k, k, k), the big side being the grid the kernel slides over. Three
 kernels run both ops, forward and backward:
 
 - `_correlate`, im2col + matmul: conv's forward, tconv's input gradient.
-  For one sample (inference, validation) it builds the columns over
-  blocks of output depth planes, about `_COLUMN_BLOCK_BYTES` at a time,
-  into slices of one output. The blocks come from `_blas_blocks`, so each
-  output column is summed in the one-shot matmul's order and the result
-  is the same to the bit.
+  It builds one sample's columns over blocks of output depth planes,
+  about `_COLUMN_BLOCK_BYTES` at a time, into slices of one output. The
+  blocks come from `_blas_blocks`, so each output column is summed in the
+  one-shot matmul's order and the result is the same to the bit.
 - `_correlate_adjoint`, its adjoint, built from the columns of one leading
   kernel offset at a time, so no (N, C*k^3, L) array exists: conv's input
   gradient, tconv's forward. When stride == k and the windows tile the
@@ -51,8 +50,8 @@ from .tensor import Tensor, _accumulate
 # stays in a 1-2 MiB L2 cache alongside the windows read into it.
 _DEPTHWISE_BLOCK = 1 << 16
 
-# Bytes of im2col columns `_correlate` builds at once when it makes its own
-# for one sample: a block of whole output depth planes, at least one plane.
+# Bytes of im2col columns `_correlate` builds at once when it makes its own:
+# a block of one sample's whole output depth planes, at least one plane.
 # A BraTS-size stage-1 merge would otherwise build 1.7 GiB of columns.
 _COLUMN_BLOCK_BYTES = 16 << 20
 
@@ -107,24 +106,25 @@ def _windows(k, stride, out_spatial, start=0, flip=False):
 def _correlate(grid, w, stride, columns=None):
     """(N, C, D, H, W) grid, (S, C, k, k, k) weights -> (N, S, do, ho, wo).
     `columns` is the grid's `_im2col`, if the caller already made it; with
-    none and N == 1, the columns are built a block of output depth planes
+    none, each sample's columns are built a block of output depth planes
     at a time (`_blas_blocks`), with the one-shot product's bits."""
     n, c = grid.shape[:2]
     s, k = w.shape[0], w.shape[2]
     w2 = w.reshape(s, c * k**3)
-    if columns is not None or n != 1:
-        cols, out_spatial = columns or _im2col(grid, k, stride)
+    if columns is not None:
+        cols, out_spatial = columns
         return (w2 @ cols).reshape(n, s, *out_spatial)
     do, ho, wo = ((size - k) // stride + 1 for size in grid.shape[2:])
     plane = ho * wo
     zb = max(1, _COLUMN_BLOCK_BYTES // (c * k**3 * plane * grid.itemsize))
     bounds = _blas_blocks(do, zb, s * c * k**3 * plane, plane)
     out = np.empty((n, s, do, ho, wo), dtype=np.result_type(grid, w))
-    flat = out.reshape(s, do * plane)
-    for z0, z1 in zip(bounds, bounds[1:]):
-        cols, _ = _im2col(grid[:, :, z0 * stride : (z1 - 1) * stride + k], k, stride)
-        np.matmul(w2, cols[0], out=flat[:, z0 * plane : z1 * plane])
-        del cols  # else it lives on while the next block's columns are made
+    flat = out.reshape(n, s, do * plane)
+    for i in range(n):
+        for z0, z1 in zip(bounds, bounds[1:]):
+            cols, _ = _im2col(grid[i : i + 1, :, z0 * stride : (z1 - 1) * stride + k], k, stride)
+            np.matmul(w2, cols[0], out=flat[i, :, z0 * plane : z1 * plane])
+            del cols  # else it lives on while the next block's columns are made
     return out
 
 

@@ -107,9 +107,14 @@ class Tensor:
     # -- graph construction ------------------------------------------------
 
     @staticmethod
+    def _records(parents):
+        """Whether an op on `parents` records a node: grad on, one requires grad."""
+        return _grad_enabled and any(p.requires_grad for p in parents)
+
+    @staticmethod
     def _from_op(data, parents, backward_fn):
         out = Tensor(data)
-        if _grad_enabled and any(p.requires_grad for p in parents):
+        if Tensor._records(parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward_fn = backward_fn
@@ -245,11 +250,9 @@ class Tensor:
     def gelu(self):
         """Exact (erf-based) GELU."""
         out, cdf = gelu_values(self.data)
-        sqrt_2pi = self.data.dtype.type(np.sqrt(2.0 * np.pi))
 
         def backward_fn(g):
-            pdf = np.exp(-0.5 * self.data * self.data) / sqrt_2pi
-            _accumulate(self, g * (cdf + self.data * pdf))
+            _accumulate(self, gelu_grad(g, self.data, cdf))
 
         return Tensor._from_op(out, (self,), backward_fn)
 
@@ -349,6 +352,12 @@ def gelu_values(x):
     return x * cdf, cdf
 
 
+def gelu_grad(g, x, cdf):
+    """GELU's gradient at x under upstream g; `cdf` is from `gelu_values`."""
+    pdf = np.exp(-0.5 * x * x) / x.dtype.type(np.sqrt(2.0 * np.pi))
+    return g * (cdf + x * pdf)
+
+
 def _accumulate(tensor, grad):
     if not tensor.requires_grad:
         return
@@ -407,10 +416,19 @@ def concat(tensors, axis=0):
 
 
 def softmax(x, axis=-1):
-    """Softmax along an axis, computed with a detached max shift."""
-    shift = Tensor(np.max(x.data, axis=axis, keepdims=True))
-    e = (x - shift).exp()
-    return e / e.sum(axis=axis, keepdims=True)
+    """Softmax along an axis with a detached max shift, as one graph node, in
+    place on one new array; recorded, it keeps only the exponentials and their
+    sums. Both ways keep the bits of the sub, exp, sum and divide it replaces."""
+    e = x.data - np.max(x.data, axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    s = e.sum(axis=axis, keepdims=True)
+
+    def backward_fn(g):  # the divide's backward to e and s, the sum's to e, then exp's
+        ds = _unbroadcast(-g * e / (s * s), s.shape)
+        _accumulate(x, (g / s + ds) * e)
+
+    out = e / s if Tensor._records((x,)) else np.divide(e, s, out=e)
+    return Tensor._from_op(out, (x,), backward_fn)
 
 
 def layer_norm(x, gamma, beta, eps=1e-5):

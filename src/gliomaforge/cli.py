@@ -166,6 +166,7 @@ def _reference_cdfs(files):
     for _, name, item in files:
         if name in pooled:
             pooled[name].append(item.data[item.data != 0])
+        del item  # else it lives on while the next file is read
     return {mod: build_cdf(np.concatenate(chunks)) for mod, chunks in pooled.items()}
 
 
@@ -181,9 +182,10 @@ def _harmonize_cases(paths, files, out_dir, cdfs, quantiles, compress):
     case starts or the stream ends, so a file that fails to read or match
     leaves none of its case behind. Errors name the file."""
     ext = ".nii.gz" if compress else ".nii"
-    for case_id, case in groupby(zip(paths, files), lambda pair: pair[0][0]):
+    where = {(case_id, name): path for case_id, name, path in paths}  # zip holds its last pair
+    for case_id, case in groupby(files, itemgetter(0)):
         with atomic_outputs() as stage:
-            for (_, name, path), (_, _, item) in case:
+            for _, name, item in case:
                 tmp = stage(Path(out_dir) / f"{case_id}-{name}{ext}")
                 if name == "seg":
                     save_mask(tmp, item)
@@ -191,7 +193,7 @@ def _harmonize_cases(paths, files, out_dir, cdfs, quantiles, compress):
                     try:
                         item = match_histogram(item, cdfs[name], quantiles=quantiles)
                     except GliomaForgeError as err:
-                        raise type(err)(f"{path}: {err}") from err
+                        raise type(err)(f"{where[case_id, name]}: {err}") from err
                     save_volume(tmp, item)
                 # the written grid goes before the next file is awaited
                 del item

@@ -13,8 +13,8 @@ holds no full-grid array but its input, which a caller can hand over
 (a one-item list that `forward` empties): stage 1's merge is then its
 last reader, and it is freed there. Attention runs its queries in chunks
 of at most `_QUERY_CHUNK` tokens against the full reduced K/V, which
-gives the unchunked map's rows exactly; with grad off each chunk's
-softmax runs in place, with the graph's ufuncs in its order. Mix-FFN is
+gives the unchunked map's rows exactly; each chunk's softmax is the one
+`autodiff.softmax` node, for grad on and off alike. Mix-FFN is
 one graph node whose one forward runs a block of output depth planes at a
 time: with grad off a few planes of one sample, so its hidden arrays, four
 times as wide as the tokens, exist for one block only; when recorded, the
@@ -25,9 +25,9 @@ each; checkpoints keep all four layers:
 - The decoder's last upsampler and its 1x1 head run as one transposed conv
   with `num_classes` outputs, whose weight and bias are composed from both
   layers' parameters as graph ops on every forward, training included.
-  For labels it runs a few 1/4-resolution depth planes at a time, each
-  block argmaxed before the next is made (`_Decoder.labels`), with the
-  bits of the one-shot conv.
+  For labels, `_Decoder.labels` runs `logits` on a few 1/4-resolution
+  depth planes at a time, each block argmaxed before the next is made,
+  with the bits of the one-shot conv.
 - The frequency stem and stage 1's patch merge run as one (k+2)^3 conv
   when grad is off (`_StemMerge`), so inference never builds the stem's
   2C-channel full-resolution output. The composed conv sees stem values
@@ -61,7 +61,7 @@ from .autodiff import (
     transpose_conv3d,
 )
 from .autodiff.conv import _DEPTHWISE_BLOCK, _blas_blocks, _depthwise, _depthwise_grads
-from .autodiff.tensor import _accumulate, gelu_values
+from .autodiff.tensor import _accumulate, gelu_grad, gelu_values
 from .errors import CheckpointError, ConfigError, ShapeError
 
 # Query tokens per attention chunk. A chunk's map is N x heads x 8192 x
@@ -370,16 +370,7 @@ class _Attention:
 
     def _weights(self, q, k_t):
         scale = 1.0 / math.sqrt(self.channels // self.heads)
-        scores = q @ k_t
-        if is_grad_enabled():
-            return softmax(scores * scale, axis=-1)
-        # the graph's ufuncs in its order, in place on the one map
-        s = scores.data
-        s *= s.dtype.type(scale)
-        s -= s.max(axis=-1, keepdims=True)
-        np.exp(s, out=s)
-        s /= s.sum(axis=-1, keepdims=True)
-        return scores
+        return softmax(q @ k_t * scale, axis=-1)
 
     def attention_map(self, tokens, grid):
         """Per-head softmax weights (N, heads, L, L_reduced) plus the K/V tokens."""
@@ -421,7 +412,7 @@ class _MixFFN:
         w1, b1, w2, b2 = self.fc1.weight, self.fc1.bias, self.fc2.weight, self.fc2.bias
         parents = (tokens, w1, b1, self.dw_weight, self.dw_bias, w2, b2)
         # what backward reads, kept only if the node is recorded
-        saved = [] if is_grad_enabled() and any(p.requires_grad for p in parents) else None
+        saved = [] if Tensor._records(parents) else None
         out = self._planes(tokens.data, grid, saved)
 
         def backward_fn(g):
@@ -431,9 +422,8 @@ class _MixFFN:
             _accumulate(b2, g.sum(axis=(0, 1)))
             _accumulate(w2, ((act * cdf).swapaxes(-1, -2) @ g).sum(axis=0))
             g = g @ w2.data.swapaxes(-1, -2)
-            pdf = np.exp(-0.5 * act * act) / act.dtype.type(np.sqrt(2.0 * np.pi))
-            g = g * (cdf + act * pdf)
-            del act, cdf, pdf
+            g = gelu_grad(g, act, cdf)
+            del act, cdf
             dpre, dtaps = _depthwise_grads(
                 padded, taps, g.reshape(len(padded), *grid, -1), 3, 1, 1, True, True
             )
@@ -593,31 +583,20 @@ class _Decoder:
         return transpose_conv3d(x, weight, bias=bias, stride=self.upfinal.stride)
 
     def labels(self, x, dims):
-        """The first-max argmax over classes of `logits(x)`, cropped to
-        `dims`, as uint8 (N, *dims). Each block of `logit_blocks` is
-        argmaxed and dropped before the next is made, so no full-grid
-        logits array exists."""
+        """The first-max argmax over classes of `logits(x)`, cropped to `dims`,
+        as uint8 (N, *dims). Stride equals kernel, so `logits` runs on the
+        shortest runs of x's depth planes that keep the whole product's bits
+        (`_blas_blocks`), none past the crop, each argmaxed before the next."""
+        k, (ci, depth, h, w) = self.upfinal.weight.shape[-1], x.shape[1:]
+        bounds = _blas_blocks(depth, 1, ci * self.head.weight.shape[0] * k * k * h * w, h * w)
         labels = np.empty((x.shape[0], *dims), dtype=np.uint8)
-        for z, scores in self.logit_blocks(x, dims[0]):
-            rows = labels[:, z : z + scores.shape[2]]
+        for z0, z1 in zip(bounds, bounds[1:]):
+            if z0 * k >= dims[0]:
+                break
+            scores = self.logits(Tensor(x.data[:, :, z0:z1])).data
+            rows = labels[:, z0 * k : z1 * k]
             rows[...] = np.argmax(scores[:, :, : rows.shape[1], : dims[1], : dims[2]], axis=1)
         return labels
-
-    def logit_blocks(self, x, depth):
-        """`logits(x)` down to output depth `depth`, as (first depth plane,
-        logits) blocks. Stride equals kernel, so each output depth plane
-        reads one plane of x: a block is the conv on the smallest run of x's
-        depth planes whose product keeps the whole product's bits
-        (`_blas_blocks`)."""
-        weight, bias = self._composed()
-        ci, co, k = weight.shape[:3]
-        h, w, stride = *x.shape[3:], self.upfinal.stride
-        bounds = _blas_blocks(x.shape[2], 1, ci * co * k * k * h * w, h * w)
-        for z0, z1 in zip(bounds, bounds[1:]):
-            if z0 * k >= depth:
-                return
-            block = transpose_conv3d(Tensor(x.data[:, :, z0:z1]), weight, bias=bias, stride=stride)
-            yield z0 * k, block.data
 
 
 class GliomaForgeNet:

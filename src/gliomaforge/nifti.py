@@ -660,15 +660,15 @@ def iter_case_files(paths, decode: tuple[str, ...] = CASE_FILES):
     Volume for each modality; a file `decode` does not name is checked from
     its header alone (`read_header`), which is its item. Each file is
     checked against the first of its case (dims and spacing; the seg's
-    dims) before it is yielded. Files are read as they are asked for, so
-    one decoded file is alive at a time.
+    dims) before it is yielded. Files are read as they are asked for, and
+    none is kept here once yielded, so one decoded file is alive at a time.
     """
     for case_id, name, path in paths:
         starts_case = name == MODALITIES[0]
-        item = _load_file(case_id, name, path, None if starts_case else first, decode)
+        item = [_load_file(case_id, name, path, None if starts_case else first, decode)]
         if starts_case:  # the grid its case's later files must match
-            first = getattr(item, "header", item)
-        yield case_id, name, item
+            first = getattr(item[0], "header", item[0])
+        yield case_id, name, item.pop()
 
 
 def read_ahead(items):
@@ -684,10 +684,10 @@ def read_ahead(items):
 
     pool = ThreadPoolExecutor(max_workers=1)
     try:
-        pending = pool.submit(next, items, None)
-        while (item := pending.result()) is not None:
-            pending = pool.submit(next, items, None)
-            yield item
+        futures = [pool.submit(next, items, None)]
+        while futures[0].result() is not None:
+            futures.append(pool.submit(next, items, None))
+            yield futures.pop(0).result()  # keeping neither the item nor its future
     finally:
         pool.shutdown(cancel_futures=True)
 

@@ -19,8 +19,10 @@ from .autodiff import (
     Tensor,
     conv3d,
     no_grad,
+    softmax,
     transpose_conv3d,
 )
+from .autodiff.conv import _blas_blocks
 from .autodiff.gradcheck import gradcheck
 from .harmonize import EmpiricalCDF, HarmonizationMapping, build_cdf, ks_statistic, match_histogram
 from .metrics import _boundary, connected_components, dice, hd95, keep_largest_per_class
@@ -260,6 +262,11 @@ def suite_autodiff(seed):
                 np.allclose(got, want, rtol=1e-4, atol=1e-4),
                 f"depthwise conv {what} (stride {stride}) != block-diagonal dense conv",
             )
+    a, b = (Tensor(rng.normal(size=(3, 1, 4))) for _ in range(2))  # softmax; axis 1 has length 1
+    gradcheck(
+        lambda ts: (softmax(ts[0], axis=1) * a + softmax(ts[0], axis=-1) * b).sum(),
+        [rng.normal(size=(3, 1, 4))],
+    )
 
 
 def decoder_gradcheck(seed):
@@ -372,18 +379,18 @@ def mix_ffn_blocks_check(seed):
 
 
 def labels_path_check(seed):
-    """`predict_labels`, whose decoder runs its last transposed conv on
-    blocks of depth planes, against the first-max argmax of the whole
-    logits, to the bit. Default decoder width: the blocks are three planes
-    of 1/4 resolution, the last joined by the one plane left. A BLAS whose
-    column blocks sum otherwise than the whole product fails here."""
+    """`predict_labels`, whose decoder runs `logits` on blocks of depth planes,
+    against the first-max argmax of the whole logits, to the bit. At the default
+    decoder width a block is three 1/4-resolution planes, the last four. A BLAS
+    whose column blocks sum otherwise than the whole product fails here."""
     model = GliomaForgeNet(ModelConfig(**{**SMALL_MODEL, "decoder_channels": 48}), seed=seed)
     rng = np.random.default_rng(seed)
     decoder = model.decoder
     for p in (decoder.upfinal.bias, decoder.head.bias):  # zero at init
         p.data = rng.normal(size=p.shape).astype(np.float32)
     x = Tensor(rng.normal(size=(1, 48, 16, 8, 16)).astype(np.float32))
-    blocks = [block for _, block in decoder.logit_blocks(x, 64)]
+    bounds = _blas_blocks(16, 1, 48 * 4 * 4**2 * 8 * 16, 8 * 16)  # the decoder's, for x
+    blocks = [decoder.logits(Tensor(x.data[:, :, a:b])).data for a, b in zip(bounds, bounds[1:])]
     _check(
         np.concatenate(blocks, axis=2).tobytes() == decoder.logits(x).data.tobytes(),
         "decoder logit blocks differ from the whole transposed conv",

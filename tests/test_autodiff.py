@@ -370,7 +370,7 @@ class TestCorrelateAdjoint:
 
 
 class TestBlockedCorrelate:
-    """With N == 1 and no columns passed, `_correlate` builds its columns a
+    """With no columns passed, `_correlate` builds each sample's columns a
     block of output depth planes at a time. Each block runs the one-shot
     matmul's rows over fewer columns, and every output column is summed in
     the same order, so the result is the one-shot im2col's to the bit. The
@@ -389,13 +389,7 @@ class TestBlockedCorrelate:
     ):
         rng = np.random.default_rng(80 + k)
         x = rng.normal(size=(1, cin) + spatial).astype(np.float32)
-        grid = np.pad(x, ((0, 0), (0, 0)) + ((padding, padding),) * 3)
         w = rng.normal(size=(cout, cin, k, k, k)).astype(np.float32)
-        one_shot = _correlate(grid, w, stride, columns=conv_module._im2col(grid, k, stride))
-        do, ho, wo = one_shot.shape[2:]
-        monkeypatch.setattr(
-            conv_module, "_COLUMN_BLOCK_BYTES", planes * cin * k**3 * ho * wo * 4
-        )
         blocks = []
 
         def counting(padded, *args):
@@ -404,10 +398,19 @@ class TestBlockedCorrelate:
 
         im2col = conv_module._im2col
         monkeypatch.setattr(conv_module, "_im2col", counting)
-        blocked = _correlate(grid, w, stride)
-        assert len(blocks) == -(-do // planes) > 1
-        assert blocked.dtype == one_shot.dtype and blocked.shape == one_shot.shape
-        assert blocked.tobytes() == one_shot.tobytes()
+        # one sample, then two: each sample's columns are blocked alike
+        for x in (x, np.concatenate([x, rng.normal(size=x.shape).astype(np.float32)])):
+            grid = np.pad(x, ((0, 0), (0, 0)) + ((padding, padding),) * 3)
+            one_shot = _correlate(grid, w, stride, columns=im2col(grid, k, stride))
+            do, ho, wo = one_shot.shape[2:]
+            monkeypatch.setattr(
+                conv_module, "_COLUMN_BLOCK_BYTES", planes * cin * k**3 * ho * wo * 4
+            )
+            blocks.clear()
+            blocked = _correlate(grid, w, stride)
+            assert len(blocks) == len(x) * -(-do // planes) > len(x)
+            assert blocked.dtype == one_shot.dtype and blocked.shape == one_shot.shape
+            assert blocked.tobytes() == one_shot.tobytes()
 
     def test_short_tail_joins_the_block_before(self, monkeypatch):
         # 9 output planes of 25 columns in blocks of 4: a 1-plane tail would
@@ -611,6 +614,58 @@ class TestSoftmaxLayerNorm:
             [rng.normal(size=(4, 6)), rng.normal(size=(6,)), rng.normal(size=(6,))],
         )
         assert err < 1e-4
+
+
+def composed_softmax(x, axis=-1):
+    """Softmax as the four graph ops it was once composed of: the bits the
+    one softmax node keeps, forward and backward."""
+    shift = Tensor(np.max(x.data, axis=axis, keepdims=True))
+    e = (x - shift).exp()
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+class TestSoftmaxNode:
+    CASES = {
+        "last-axis": ((4, 7), -1),
+        "axis-1": ((2, 4, 3, 5), 1),
+        "length-1-axis": ((2, 3, 1), -1),  # attention against a single key
+        "minus-inf": ((3, 6), -1),
+    }
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_equals_composed_graph(self, case, dtype):
+        shape, axis = self.CASES[case]
+        rng = np.random.default_rng(31)
+        x = (rng.normal(size=shape) * 3).astype(dtype)
+        if case == "minus-inf":
+            x[1, 2] = -np.inf
+        upstream = Tensor(rng.normal(size=shape).astype(dtype))
+        runs = []
+        for fn in (softmax, composed_softmax):
+            with no_grad():
+                off = fn(Tensor(x), axis=axis).data
+            leaf = Tensor(x, requires_grad=True)
+            out = fn(leaf, axis=axis)
+            (out * upstream).sum().backward()
+            runs.append((off, out.data, leaf.grad))
+        for got, want in zip(*runs):
+            assert got.dtype == want.dtype == dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_gradcheck_with_length_one_axis(self):
+        rng = np.random.default_rng(32)
+        a, b = (Tensor(rng.normal(size=(3, 1, 4))) for _ in range(2))
+        err = gradcheck(
+            lambda t: (softmax(t[0], axis=1) * a + softmax(t[0], axis=-1) * b).sum(),
+            [rng.normal(size=(3, 1, 4))],
+        )
+        assert err < 1e-4
+
+    def test_one_node(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        out = softmax(x, axis=-1)
+        assert out._parents == (x,)
 
 
 class TestStructural:

@@ -678,6 +678,27 @@ class TestHarmonizeStreaming:
         assert len(alive) == 2 * 4 + 3 * 4
         assert most[0] <= 2
 
+    def test_no_volume_outlives_its_use(self, small_cohort, tmp_path, monkeypatch):
+        # the loader waits after each decode, long enough for the caller to
+        # be done with the file before it and wait for this one; no reader,
+        # generator or grouping may still hold that file then
+        src = small_cohort / ".nii"
+        alive, still_alive = [], []
+        load_volume = nifti.load_volume
+
+        def slow_load_volume(path):
+            volume = load_volume(path)
+            time.sleep(0.2)
+            still_alive.append(sum(ref() is not None for ref in alive))
+            alive.append(weakref.ref(volume))
+            return volume
+
+        monkeypatch.setattr(nifti, "load_volume", slow_load_volume)
+        argv = ["harmonize", "--ref-dir", str(src / "ref"), "--in", str(src / "in"),
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_OK
+        assert still_alive == [0] * (2 * 4 + 3 * 4)
+
     @pytest.mark.parametrize(
         "fault, message",
         [("truncated", "payload truncated"), ("truncated-gz", "gzip stream truncated"),

@@ -208,31 +208,46 @@ class TestChunkedAttention:
         assert chunked.data.tobytes() == ref.data.tobytes()
 
 
-class TestInPlaceSoftmax:
-    """With grad off, attention normalizes each chunk's q @ k^T in place,
-    with the graph softmax's ufuncs in its order: the same bits."""
+class TestAttentionSoftmax:
+    """Attention normalizes each chunk's scaled q @ k^T with the one softmax
+    node, whose forward is the same with grad on and off."""
 
-    def test_equals_graph_softmax_across_chunks(self, monkeypatch):
+    def _attention(self):
         attn = _Attention(_Store(24, np.float32), "a", channels=16, heads=2, sr_ratio=4)
         rng = np.random.default_rng(25)
         for layer in (attn.q, attn.k, attn.v, attn.proj):
             for p in (layer.weight, layer.bias):
                 p.data = rng.normal(size=p.shape).astype(np.float32)
-        grid = (36, 16, 16)  # 9216 queries: two chunks against 144 K/V tokens
+        # 9216 queries: two chunks of 4608 against 144 K/V tokens
         tokens = Tensor(rng.normal(size=(1, 9216, 16)).astype(np.float32))
+        return attn, tokens, (36, 16, 16)
+
+    def test_grad_off_equals_graph_across_chunks(self):
+        attn, tokens, grid = self._attention()
         graph = attn(tokens, grid).data
         graph_map = attn.attention_map(tokens, grid)[0].data
-
-        def refused(x, axis=-1):
-            raise AssertionError("graph softmax called with grad off")
-
-        monkeypatch.setattr(model_module, "softmax", refused)
         with no_grad():
             out = attn(tokens, grid).data
             weights = attn.attention_map(tokens, grid)[0].data
         assert weights.shape == (1, 2, 9216, 144)
         assert weights.tobytes() == graph_map.tobytes()
         assert out.tobytes() == graph.tobytes()
+
+    def test_grad_off_holds_two_maps_per_chunk(self):
+        # the scaled scores and the softmax's one array: a third map-sized
+        # array alive at once would pass 3 maps
+        attn, tokens, grid = self._attention()
+        with no_grad():
+            attn(tokens, grid)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                attn(tokens, grid)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        chunk_map = 2 * 4608 * 144 * 4
+        assert peak <= 2.5 * chunk_map
 
 
 class TestMixFFN:
@@ -431,8 +446,9 @@ class TestHeadFold:
 
 
 class TestDecoderLabels:
-    """`_Decoder.labels` runs the composed transposed conv on blocks of the
-    1/4-resolution depth planes and argmaxes each block into uint8 labels."""
+    """`_Decoder.labels` runs `logits`, the composed transposed conv, on
+    blocks of the 1/4-resolution depth planes and argmaxes each block into
+    uint8 labels."""
 
     def test_blocks_are_the_whole_logits(self, monkeypatch):
         # default decoder width on 8x16 planes: three planes a block, and
@@ -444,9 +460,9 @@ class TestDecoderLabels:
             p.data = rng.normal(size=p.shape).astype(np.float32)
         x = Tensor(rng.normal(size=(1, 48, 16, 8, 16)).astype(np.float32))
         whole = dec.logits(x).data
-        blocks = list(dec.logit_blocks(x, 64))
-        assert [z for z, _ in blocks] == [0, 12, 24, 36, 48]
-        assert np.concatenate([b for _, b in blocks], axis=2).tobytes() == whole.tobytes()
+        bounds = [0, 3, 6, 9, 12, 16]
+        blocks = [dec.logits(Tensor(x.data[:, :, a:b])).data for a, b in zip(bounds, bounds[1:])]
+        assert np.concatenate(blocks, axis=2).tobytes() == whole.tobytes()
         calls = []
         tconv = model_module.transpose_conv3d
 
