@@ -17,8 +17,8 @@ kernels run both ops, forward and backward:
   the slabs are added into zeros in (a, b, q) order.
 - `_correlate_weight_grad`, which recomputes the column matrix from the
   saved grid rather than caching it: the weight gradient of both. In
-  tconv's backward the grid is the upstream gradient, whose column matrix
-  is made once for both of its gradients.
+  tconv's backward the grid is the upstream gradient, and each of its two
+  gradients builds its own columns from it.
 
 Depthwise convs build no column matrix, which would hold k^3 copies of
 the input. One tap kernel, `_depthwise`, runs them on a channels-last
@@ -79,13 +79,11 @@ def _blas_blocks(count, block, unit_cost, unit_len):
 
 
 def _im2col(padded, k, stride):
-    """(N,C,Dp,Hp,Wp) -> column matrix (N, C*k^3, L) and the out spatial dims."""
+    """(N,C,Dp,Hp,Wp) -> column matrix (N, C*k^3, L)."""
     n, c = padded.shape[:2]
     win = sliding_window_view(padded, (k, k, k), axis=(2, 3, 4))
     win = win[:, :, ::stride, ::stride, ::stride]
-    out_spatial = win.shape[2:5]
-    cols = win.transpose(0, 1, 5, 6, 7, 2, 3, 4).reshape(n, c * k**3, -1)
-    return cols, out_spatial
+    return win.transpose(0, 1, 5, 6, 7, 2, 3, 4).reshape(n, c * k**3, -1)
 
 
 def _windows(k, stride, out_spatial, start=0, flip=False):
@@ -103,17 +101,13 @@ def _windows(k, stride, out_spatial, start=0, flip=False):
         )
 
 
-def _correlate(grid, w, stride, columns=None):
+def _correlate(grid, w, stride):
     """(N, C, D, H, W) grid, (S, C, k, k, k) weights -> (N, S, do, ho, wo).
-    `columns` is the grid's `_im2col`, if the caller already made it; with
-    none, each sample's columns are built a block of output depth planes
-    at a time (`_blas_blocks`), with the one-shot product's bits."""
+    Each sample's columns are built a block of output depth planes at a
+    time (`_blas_blocks`), with the bits of the one-shot `w2 @ _im2col`."""
     n, c = grid.shape[:2]
     s, k = w.shape[0], w.shape[2]
     w2 = w.reshape(s, c * k**3)
-    if columns is not None:
-        cols, out_spatial = columns
-        return (w2 @ cols).reshape(n, s, *out_spatial)
     do, ho, wo = ((size - k) // stride + 1 for size in grid.shape[2:])
     plane = ho * wo
     zb = max(1, _COLUMN_BLOCK_BYTES // (c * k**3 * plane * grid.itemsize))
@@ -122,7 +116,7 @@ def _correlate(grid, w, stride, columns=None):
     flat = out.reshape(n, s, do * plane)
     for i in range(n):
         for z0, z1 in zip(bounds, bounds[1:]):
-            cols, _ = _im2col(grid[i : i + 1, :, z0 * stride : (z1 - 1) * stride + k], k, stride)
+            cols = _im2col(grid[i : i + 1, :, z0 * stride : (z1 - 1) * stride + k], k, stride)
             np.matmul(w2, cols[0], out=flat[i, :, z0 * plane : z1 * plane])
             del cols  # else it lives on while the next block's columns are made
     return out
@@ -151,11 +145,10 @@ def _correlate_adjoint(small, w, stride, grid_shape):
     return grid
 
 
-def _correlate_weight_grad(grid, small, k, stride, columns=None):
-    """Gradient of _correlate's (S, C, k, k, k) weights, `small` its upstream;
-    `columns` as in `_correlate`."""
+def _correlate_weight_grad(grid, small, k, stride):
+    """Gradient of _correlate's (S, C, k, k, k) weights, `small` its upstream."""
     n, s = small.shape[:2]
-    cols, _ = columns or _im2col(grid, k, stride)
+    cols = _im2col(grid, k, stride)
     dw = np.matmul(small.reshape(n, s, -1), cols.transpose(0, 2, 1)).sum(axis=0)
     return dw.reshape(s, grid.shape[1], k, k, k)
 
@@ -308,12 +301,10 @@ def transpose_conv3d(x, w, bias=None, stride=1):
     parents = (x, w) if bias is None else (x, w, bias)
 
     def backward_fn(g):
-        if x.requires_grad or w.requires_grad:
-            columns = _im2col(g, k, stride)  # g's columns serve both gradients
         if x.requires_grad:
-            _accumulate(x, _correlate(g, w.data, stride, columns))
+            _accumulate(x, _correlate(g, w.data, stride))
         if w.requires_grad:
-            _accumulate(w, _correlate_weight_grad(g, x.data, k, stride, columns))
+            _accumulate(w, _correlate_weight_grad(g, x.data, k, stride))
         if bias is not None:
             _accumulate(bias, g.sum(axis=(0, 2, 3, 4)))
 

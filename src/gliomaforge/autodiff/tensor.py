@@ -3,7 +3,9 @@
 A Tensor wraps an ndarray and, when an operation involves a tensor that
 requires gradients, records the parents and a closure that maps the
 upstream gradient to parent gradients. backward() runs a reverse
-topological sweep from a scalar loss and accumulates into .grad.
+topological sweep from a scalar loss and accumulates into .grad. An
+operand that does not require a gradient (a constant such as a one-hot
+target, a max shift or `eps`) gets none computed.
 
 backward() releases the graph as it sweeps it: each node it reaches drops
 its closure, its parents and its upstream gradient before the closure
@@ -167,22 +169,28 @@ class Tensor:
             arr = arr.astype(self.dtype)
         return Tensor(arr)
 
-    @staticmethod
-    def _check_broadcast(a, b):
-        try:
-            np.broadcast_shapes(a.shape, b.shape)
-        except ValueError:
-            raise ShapeError(f"cannot broadcast {a.shape} with {b.shape}") from None
-
-    def __add__(self, other):
+    def _broadcast_op(self, other, ufunc, grad_self, grad_other):
+        """Record `ufunc(self, other)` under numpy's size-1 broadcasting as one
+        node. `grad_self(g, a, b)` and `grad_other(g, a, b)` map the upstream
+        gradient to each operand's gradient at the output's shape (a, b the
+        operands' data); each runs only if its operand requires a gradient,
+        self first, and its result is reduced to the operand's shape."""
         other = self._coerce(other)
-        self._check_broadcast(self, other)
+        try:
+            np.broadcast_shapes(self.shape, other.shape)
+        except ValueError:
+            raise ShapeError(f"cannot broadcast {self.shape} with {other.shape}") from None
 
         def backward_fn(g):
-            _accumulate(self, _unbroadcast(g, self.shape))
-            _accumulate(other, _unbroadcast(g, other.shape))
+            for operand, grad in ((self, grad_self), (other, grad_other)):
+                if operand.requires_grad:
+                    g_op = grad(g, self.data, other.data)
+                    _accumulate(operand, _unbroadcast(g_op, operand.shape))
 
-        return Tensor._from_op(self.data + other.data, (self, other), backward_fn)
+        return Tensor._from_op(ufunc(self.data, other.data), (self, other), backward_fn)
+
+    def __add__(self, other):
+        return self._broadcast_op(other, np.add, lambda g, a, b: g, lambda g, a, b: g)
 
     __radd__ = __add__
 
@@ -193,41 +201,20 @@ class Tensor:
         return Tensor._from_op(-self.data, (self,), backward_fn)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        self._check_broadcast(self, other)
-
-        def backward_fn(g):
-            _accumulate(self, _unbroadcast(g, self.shape))
-            _accumulate(other, _unbroadcast(-g, other.shape))
-
-        return Tensor._from_op(self.data - other.data, (self, other), backward_fn)
+        return self._broadcast_op(other, np.subtract, lambda g, a, b: g, lambda g, a, b: -g)
 
     def __rsub__(self, other):
         return self._coerce(other).__sub__(self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        self._check_broadcast(self, other)
-
-        def backward_fn(g):
-            _accumulate(self, _unbroadcast(g * other.data, self.shape))
-            _accumulate(other, _unbroadcast(g * self.data, other.shape))
-
-        return Tensor._from_op(self.data * other.data, (self, other), backward_fn)
+        return self._broadcast_op(other, np.multiply, lambda g, a, b: g * b, lambda g, a, b: g * a)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        self._check_broadcast(self, other)
-
-        def backward_fn(g):
-            _accumulate(self, _unbroadcast(g / other.data, self.shape))
-            _accumulate(
-                other, _unbroadcast(-g * self.data / (other.data * other.data), other.shape)
-            )
-
-        return Tensor._from_op(self.data / other.data, (self, other), backward_fn)
+        return self._broadcast_op(
+            other, np.true_divide, lambda g, a, b: g / b, lambda g, a, b: -g * a / (b * b)
+        )
 
     def __rtruediv__(self, other):
         return self._coerce(other).__truediv__(self)

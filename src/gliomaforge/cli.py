@@ -45,7 +45,6 @@ from .nifti import (
     save_volume,
 )
 from .radiomics import DEFAULT_BIN_WIDTH, extract_case_features, read_features_csv, write_features_csv
-from .selftest import run_selftest
 from .stratify import (
     DEFAULT_CLUSTERS,
     DEFAULT_COMPONENTS,
@@ -466,6 +465,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from .selftest import run_selftest  # here, so other subcommands skip its imports
+
     config = _load_config(args)
     failures = run_selftest(seed=resolve_seed(args, config))
     return EXIT_OK if failures == 0 else EXIT_USAGE
@@ -561,10 +562,7 @@ def main(argv=None) -> int:
         if getattr(args, "jobs", 1) < 1:
             raise ConfigError(f"--jobs {args.jobs} must be at least 1")
         return args.func(args)
-    except GliomaForgeError as err:
-        print(f"gliomaforge: error: {err}", file=sys.stderr)
-        return EXIT_DATA
-    except (FileNotFoundError, NotADirectoryError, IsADirectoryError) as err:
+    except (GliomaForgeError, FileNotFoundError, NotADirectoryError, IsADirectoryError) as err:
         print(f"gliomaforge: error: {err}", file=sys.stderr)
         return EXIT_DATA
 

@@ -64,6 +64,9 @@ from .autodiff.conv import _DEPTHWISE_BLOCK, _blas_blocks, _depthwise, _depthwis
 from .autodiff.tensor import _accumulate, gelu_grad, gelu_values
 from .errors import CheckpointError, ConfigError, ShapeError
 
+# The product of the stage strides: every input spatial dim must divide by it.
+NETWORK_STRIDE = 32
+
 # Query tokens per attention chunk. A chunk's map is N x heads x 8192 x
 # L_reduced; a BraTS-size stage-1 map would otherwise be 4 x 163 840 x 320.
 _QUERY_CHUNK = 8192
@@ -112,8 +115,10 @@ class ModelConfig:
         for c, h in zip(self.stage_channels, self.stage_heads):
             if c % h:
                 raise ConfigError(f"channels {c} not divisible by heads {h}")
-        if int(np.prod(self.stage_strides)) != 32:
-            raise ConfigError(f"stage strides {self.stage_strides} must multiply to 32")
+        if int(np.prod(self.stage_strides)) != NETWORK_STRIDE:
+            raise ConfigError(
+                f"stage strides {self.stage_strides} must multiply to {NETWORK_STRIDE}"
+            )
         if self.stage_channels[-1] % self.channel_attn_reduction:
             raise ConfigError("stage-4 channels must be divisible by the channel reduction")
         if self.spatial_attn_kernel % 2 == 0:
@@ -691,10 +696,11 @@ class GliomaForgeNet:
             raise ShapeError(
                 f"expected N x {self.config.in_channels} x D x H x W input, got {x.shape}"
             )
-        bad = [s for s in x.shape[2:] if s % 32]
+        bad = [s for s in x.shape[2:] if s % NETWORK_STRIDE]
         if bad:
             raise ShapeError(
-                f"spatial dims {tuple(x.shape[2:])} must be divisible by 32; pad the input"
+                f"spatial dims {tuple(x.shape[2:])} must be divisible by {NETWORK_STRIDE}; "
+                "pad the input"
             )
         stem = self.frequency_stem(x) if is_grad_enabled() else _StemInput(self, x)
         del x

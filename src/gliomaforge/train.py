@@ -16,7 +16,7 @@ import numpy as np
 from .autodiff import Tensor, no_grad, softmax
 from .errors import ConfigError, LabelError, TrainingDivergedError
 from .harmonize import zscore_normalize
-from .model import GliomaForgeNet
+from .model import NETWORK_STRIDE, GliomaForgeNet
 from .nifti import MODALITIES, MultiModalCase
 
 NUM_CLASSES = 4
@@ -52,8 +52,8 @@ class TrainConfig:
             )
         if self.weight_decay < 0 or self.patience < 0:
             raise ConfigError("weight_decay and patience must be non-negative")
-        if self.crop_size % 32:
-            raise ConfigError(f"crop_size {self.crop_size} must be divisible by 32")
+        if self.crop_size % NETWORK_STRIDE:
+            raise ConfigError(f"crop_size {self.crop_size} must be divisible by {NETWORK_STRIDE}")
         if not 0.0 < self.scale_min <= self.scale_max:
             raise ConfigError("scale range must satisfy 0 < min <= max")
 
@@ -103,16 +103,15 @@ def dice_loss(probs: Tensor, target: Tensor) -> Tensor:
     """Soft Dice over foreground classes, averaged over classes and batch."""
     if probs.shape != target.shape:
         raise ConfigError(f"probs {probs.shape} vs target {target.shape}")
-    spatial = tuple(range(1, probs.ndim - 1))
-    total = None
-    for c in FOREGROUND_CLASSES:
-        p = probs[:, c]
-        g = target[:, c]
-        inter = (p * g).sum(axis=spatial)
-        denom = p.sum(axis=spatial) + g.sum(axis=spatial)
-        term = 1.0 - (2.0 * inter + DICE_EPS) / (denom + DICE_EPS)
-        total = term if total is None else total + term
-    return (total * (1.0 / len(FOREGROUND_CLASSES))).mean()
+    spatial = tuple(range(2, probs.ndim))
+    p, g = probs[:, 1:], target[:, 1:]  # the foreground classes, in order
+    inter = (p * g).sum(axis=spatial)
+    denom = p.sum(axis=spatial) + g.sum(axis=spatial)
+    terms = 1.0 - (2.0 * inter + DICE_EPS) / (denom + DICE_EPS)  # (N, classes)
+    total = terms[:, 0]
+    for i in range(1, terms.shape[1]):  # summed in class order, as one term each
+        total = total + terms[:, i]
+    return (total * (1.0 / terms.shape[1])).mean()
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -314,8 +313,8 @@ def mean_foreground_dice(pred: np.ndarray, truth: np.ndarray) -> float:
 
 
 def padded_dims(dims) -> tuple[int, ...]:
-    """`dims` rounded up to a multiple of 32, which the network's strides divide."""
-    return tuple(s + (-s) % 32 for s in dims)
+    """`dims` rounded up to a multiple of `NETWORK_STRIDE`."""
+    return tuple(s + (-s) % NETWORK_STRIDE for s in dims)
 
 
 def predict_labels(model: GliomaForgeNet, images, dims=None) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Tensor ops, gradients, spatial kernels, and the checkpoint format."""
 
+import operator
 import tracemalloc
 import weakref
 
@@ -25,7 +26,8 @@ from gliomaforge.autodiff import (
     trilinear_resize,
 )
 from gliomaforge.autodiff import conv as conv_module
-from gliomaforge.autodiff.conv import _blas_blocks, _correlate, _correlate_adjoint
+from gliomaforge.autodiff.conv import _blas_blocks, _correlate, _correlate_adjoint, _im2col
+from gliomaforge.autodiff.tensor import _unbroadcast
 from gliomaforge.errors import CheckpointError, GraphReleasedError, ShapeError
 
 
@@ -69,6 +71,93 @@ class TestElementwise:
         assert a.grad.shape == (2, 3)
         assert b.grad.shape == (1, 3)
         np.testing.assert_array_equal(b.grad, [[2.0, 2.0, 2.0]])
+
+
+# The operand gradients of each broadcast op as its own closure computed
+# them, before the four ops shared one node: (forward, d/da, d/db).
+PER_OP_CLOSURES = {
+    "add": (operator.add, lambda g, a, b: g, lambda g, a, b: g),
+    "sub": (operator.sub, lambda g, a, b: g, lambda g, a, b: -g),
+    "mul": (operator.mul, lambda g, a, b: g * b, lambda g, a, b: g * a),
+    "div": (operator.truediv, lambda g, a, b: g / b, lambda g, a, b: -g * a / (b * b)),
+}
+
+
+class TestBroadcastNode:
+    """`+`, `-`, `*` and `/` record one broadcast node that computes a
+    gradient only for an operand that requires one, with the bits of the
+    per-op closures it replaced."""
+
+    @staticmethod
+    def upstream_backward(out, rng):
+        # weighting by a random g makes g the node's upstream gradient exactly
+        g = rng.uniform(0.5, 2.0, size=out.shape).astype(out.dtype)
+        (out * Tensor(g)).sum().backward()
+        return g
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("b_shape", [(3, 4, 5), (3, 1, 5), (1, 5), ()],
+                             ids=["same", "size-1-axis", "leading", "0-d"])
+    @pytest.mark.parametrize("op", sorted(PER_OP_CLOSURES))
+    def test_two_tensors(self, op, b_shape, dtype):
+        rng = np.random.default_rng(30)
+        a = Tensor(rng.uniform(0.5, 2.0, size=(3, 4, 5)).astype(dtype), requires_grad=True)
+        b = Tensor(rng.uniform(0.5, 2.0, size=b_shape).astype(dtype), requires_grad=True)
+        forward, grad_a, grad_b = PER_OP_CLOSURES[op]
+        out = forward(a, b)
+        assert out.data.tobytes() == forward(a.data, b.data).tobytes()
+        g = self.upstream_backward(out, rng)
+        ref_a = _unbroadcast(grad_a(g, a.data, b.data), a.shape)
+        ref_b = _unbroadcast(grad_b(g, a.data, b.data), b.shape)
+        assert a.grad.dtype == b.grad.dtype == dtype
+        assert a.grad.tobytes() == ref_a.tobytes()
+        assert b.grad.shape == b_shape and b.grad.tobytes() == ref_b.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("reflected", [False, True], ids=["t-op-s", "s-op-t"])
+    @pytest.mark.parametrize("op", sorted(PER_OP_CLOSURES))
+    def test_scalar_operand(self, op, reflected, dtype):
+        rng = np.random.default_rng(31)
+        t = Tensor(rng.uniform(0.5, 2.0, size=(3, 4)).astype(dtype), requires_grad=True)
+        s = np.dtype(dtype).type(2.5)
+        forward, grad_a, grad_b = PER_OP_CLOSURES[op]
+        a, b = (s, t.data) if reflected else (t.data, s)
+        out = forward(2.5, t) if reflected else forward(t, 2.5)
+        assert out.dtype == dtype and out.data.tobytes() == forward(a, b).tobytes()
+        g = self.upstream_backward(out, rng)
+        ref = grad_b(g, a, b) if reflected else grad_a(g, a, b)
+        assert t.grad.tobytes() == np.asarray(ref).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("op", sorted(PER_OP_CLOSURES))
+    def test_same_tensor_both_sides(self, op, dtype):
+        # x op x: the first operand's gradient, then the second's added to it
+        rng = np.random.default_rng(32)
+        x = Tensor(rng.uniform(0.5, 2.0, size=(3, 4)).astype(dtype), requires_grad=True)
+        forward, grad_a, grad_b = PER_OP_CLOSURES[op]
+        out = forward(x, x)
+        assert out.data.tobytes() == forward(x.data, x.data).tobytes()
+        x.grad = None  # so the reference need not add into zeros first
+        g = self.upstream_backward(out, rng)
+        ref = grad_a(g, x.data, x.data) + grad_b(g, x.data, x.data)
+        assert x.grad.tobytes() == ref.tobytes()
+
+    def test_constant_operand_allocates_no_gradient(self):
+        # the backward of (x * c).sum() makes x's gradient and nothing else
+        # of x's size; with no zeros to add into, that is one array
+        rng = np.random.default_rng(33)
+        x = Tensor(rng.normal(size=(64, 64, 32)), requires_grad=True)
+        c = Tensor(rng.normal(size=(64, 64, 32)))
+        loss = (x * c).sum()
+        x.grad = None
+        tracemalloc.start()
+        try:
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.grad.tobytes() == c.data.tobytes()
+        assert x.data.nbytes <= peak < 1.5 * x.data.nbytes
 
 
 SCALAR_OPS = {
@@ -369,12 +458,21 @@ class TestCorrelateAdjoint:
         assert np.sum(fwd * y) == pytest.approx(np.sum(x * back[inner]), rel=1e-12)
 
 
+def one_shot_correlate(grid, w, stride):
+    """`_correlate` as one product over the grid's whole column matrix."""
+    k = w.shape[2]
+    out_spatial = tuple((s - k) // stride + 1 for s in grid.shape[2:])
+    return (w.reshape(len(w), -1) @ _im2col(grid, k, stride)).reshape(
+        len(grid), len(w), *out_spatial
+    )
+
+
 class TestBlockedCorrelate:
-    """With no columns passed, `_correlate` builds each sample's columns a
-    block of output depth planes at a time. Each block runs the one-shot
-    matmul's rows over fewer columns, and every output column is summed in
-    the same order, so the result is the one-shot im2col's to the bit. The
-    sizes keep every block's matmul above BLAS's small-matrix kernels."""
+    """`_correlate` builds each sample's columns a block of output depth
+    planes at a time. Each block runs the one-shot matmul's rows over fewer
+    columns, and every output column is summed in the same order, so the
+    result is the one-shot im2col's to the bit. The sizes keep every
+    block's matmul above BLAS's small-matrix kernels."""
 
     @pytest.mark.parametrize(
         "k, stride, padding, cin, cout, spatial, planes",
@@ -401,7 +499,7 @@ class TestBlockedCorrelate:
         # one sample, then two: each sample's columns are blocked alike
         for x in (x, np.concatenate([x, rng.normal(size=x.shape).astype(np.float32)])):
             grid = np.pad(x, ((0, 0), (0, 0)) + ((padding, padding),) * 3)
-            one_shot = _correlate(grid, w, stride, columns=im2col(grid, k, stride))
+            one_shot = one_shot_correlate(grid, w, stride)
             do, ho, wo = one_shot.shape[2:]
             monkeypatch.setattr(
                 conv_module, "_COLUMN_BLOCK_BYTES", planes * cin * k**3 * ho * wo * 4
@@ -419,7 +517,7 @@ class TestBlockedCorrelate:
         rng = np.random.default_rng(85)
         grid = rng.normal(size=(1, 8, 15, 11, 11)).astype(np.float32)
         w = rng.normal(size=(8, 8, 7, 7, 7)).astype(np.float32)
-        one_shot = _correlate(grid, w, 1, columns=conv_module._im2col(grid, 7, 1))
+        one_shot = one_shot_correlate(grid, w, 1)
         monkeypatch.setattr(conv_module, "_COLUMN_BLOCK_BYTES", 4 * 8 * 7**3 * 25 * 4)
         blocks = []
 
@@ -517,24 +615,25 @@ class TestTransposeConv3d:
         with pytest.raises(ShapeError):
             transpose_conv3d(Tensor(np.zeros((1, 3, 2, 2, 2))), Tensor(np.zeros((2, 1, 2, 2, 2))))
 
-    @pytest.mark.parametrize("x_grad, w_grad", [(True, True), (True, False), (False, True)])
-    def test_backward_builds_columns_once(self, monkeypatch, x_grad, w_grad):
-        # the upstream gradient's column matrix serves dx and dw alike
-        calls = []
-
-        def counting(*args):
-            calls.append(args[0].shape)
-            return im2col(*args)
-
-        im2col = conv_module._im2col
-        monkeypatch.setattr(conv_module, "_im2col", counting)
-        rng = np.random.default_rng(61)
-        x = Tensor(rng.normal(size=(1, 2, 3, 3, 3)), requires_grad=x_grad)
-        w = Tensor(rng.normal(size=(2, 3, 3, 3, 3)), requires_grad=w_grad)
-        out = transpose_conv3d(x, w, stride=2)
-        assert calls == []
-        out.sum().backward()
-        assert calls == [out.shape]
+    @pytest.mark.parametrize("k, stride", [(2, 2), (4, 4), (3, 2)])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_equals_shared_columns(self, k, stride, n, dtype):
+        # each gradient builds its own columns of the upstream gradient, with
+        # the bits of one column matrix shared by both
+        rng = np.random.default_rng(61 + k)
+        ci, co, spatial = 48, 24, (4, 3, 2)
+        x = Tensor(rng.normal(size=(n, ci, *spatial)).astype(dtype), requires_grad=True)
+        w = Tensor(rng.normal(size=(ci, co, k, k, k)).astype(dtype), requires_grad=True)
+        out = transpose_conv3d(x, w, stride=stride)
+        g = rng.normal(size=out.shape).astype(dtype)
+        (out * Tensor(g)).sum().backward()
+        cols = _im2col(g, k, stride)
+        dx = (w.data.reshape(ci, -1) @ cols).reshape(x.shape)
+        dw = np.matmul(x.data.reshape(n, ci, -1), cols.transpose(0, 2, 1)).sum(axis=0)
+        assert x.grad.dtype == w.grad.dtype == dtype
+        assert x.grad.tobytes() == dx.tobytes()
+        assert w.grad.tobytes() == dw.reshape(w.shape).tobytes()
 
 
 class TestPooling:

@@ -303,6 +303,7 @@ assert "scipy" not in sys.modules, "import gliomaforge"
 from gliomaforge import cli
 assert "scipy" not in sys.modules, "import gliomaforge.cli"
 assert "concurrent.futures" not in sys.modules, "import gliomaforge.cli"
+assert "gliomaforge.selftest" not in sys.modules, "import gliomaforge.cli"
 rc = cli.main(["stratify", "--features", sys.argv[1], "--k", "2", "--folds", "2",
                "--out", sys.argv[2], "--seed", "1"])
 assert rc == 0, rc
@@ -313,7 +314,7 @@ assert "concurrent.futures" not in sys.modules, "stratify"
 
 def test_scipy_is_imported_only_where_used(tmp_path):
     """Import and the subcommands that never call scipy or a process pool
-    do not pay for them."""
+    do not pay for them; only the `selftest` subcommand imports `selftest`."""
     src = os.path.dirname(os.path.dirname(gliomaforge.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     table = _features_table(tmp_path / "f.csv", n=6)
