@@ -3,184 +3,130 @@ first-order radiomics, clustered fold assignment, a from-scratch autodiff
 engine, a hierarchical 3D transformer, training, and BraTS-style metrics.
 
 Everything runs on numpy/scipy; no deep-learning framework is required.
+
+The names below load on first use: `import gliomaforge` imports none of its
+submodules, and `gliomaforge.fit` (or `from gliomaforge import fit`) imports
+only the submodule that defines it, `gliomaforge.train`. So a process that
+only builds a model and loads a checkpoint never imports the harmonization,
+metrics or training code.
 """
 
-from .errors import (
-    AlignmentError,
-    CheckpointError,
-    ConfigError,
-    DegenerateInputError,
-    EmptyForegroundError,
-    GliomaForgeError,
-    GraphReleasedError,
-    HeaderError,
-    InsufficientDataError,
-    LabelError,
-    PairingError,
-    ShapeError,
-    TrainingDivergedError,
-    TruncatedDataError,
-    UnsupportedDataTypeError,
-)
-from .harmonize import (
-    EmpiricalCDF,
-    HarmonizationMapping,
-    build_cdf,
-    ks_statistic,
-    match_histogram,
-    zscore_normalize,
-)
-from .metrics import (
-    HD95_SENTINEL,
-    REGIONS,
-    CaseMetrics,
-    RegionMetrics,
-    connected_components,
-    dice,
-    evaluate,
-    evaluate_case,
-    hd95,
-    keep_largest_per_class,
-    sensitivity_specificity,
-    summarize,
-    write_metrics_csv,
-)
-from .model import GliomaForgeNet, ModelConfig
-from .nifti import (
-    MODALITIES,
-    VALID_LABELS,
-    MultiModalCase,
-    SegmentationMask,
-    Volume,
-    VolumeHeader,
-    load_case,
-    load_mask,
-    load_volume,
-    save_case,
-    save_mask,
-    save_volume,
-)
-from .radiomics import (
-    FEATURE_NAMES,
-    FeatureVector,
-    extract_case_features,
-    first_order_features,
-    read_features_csv,
-    write_features_csv,
-)
-from .stratify import (
-    FoldAssignment,
-    PCAModel,
-    kmeans,
-    pca_fit_transform,
-    read_folds_csv,
-    standardize,
-    stratified_folds,
-    stratify_cases,
-    within_cluster_ss,
-    write_folds_csv,
-)
-from .synthetic import make_case, make_dataset
-from .train import (
-    AdamW,
-    FitResult,
-    TrainConfig,
-    TrainingCase,
-    apply_augmentation,
-    composite_loss,
-    cosine_lr,
-    cross_entropy,
-    dice_loss,
-    fit,
-    mean_foreground_dice,
-    predict_labels,
-    random_crop,
-    sample_augmentation,
-    training_case,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdamW",
-    "AlignmentError",
-    "CaseMetrics",
-    "CheckpointError",
-    "ConfigError",
-    "DegenerateInputError",
-    "EmpiricalCDF",
-    "EmptyForegroundError",
-    "FEATURE_NAMES",
-    "FeatureVector",
-    "FitResult",
-    "FoldAssignment",
-    "GliomaForgeError",
-    "GliomaForgeNet",
-    "GraphReleasedError",
-    "HD95_SENTINEL",
-    "HarmonizationMapping",
-    "HeaderError",
-    "InsufficientDataError",
-    "LabelError",
-    "MODALITIES",
-    "ModelConfig",
-    "MultiModalCase",
-    "PCAModel",
-    "PairingError",
-    "REGIONS",
-    "RegionMetrics",
-    "SegmentationMask",
-    "ShapeError",
-    "TrainConfig",
-    "TrainingCase",
-    "TrainingDivergedError",
-    "TruncatedDataError",
-    "UnsupportedDataTypeError",
-    "VALID_LABELS",
-    "Volume",
-    "VolumeHeader",
-    "apply_augmentation",
-    "build_cdf",
-    "composite_loss",
-    "connected_components",
-    "cosine_lr",
-    "cross_entropy",
-    "dice",
-    "dice_loss",
-    "evaluate",
-    "evaluate_case",
-    "extract_case_features",
-    "first_order_features",
-    "fit",
-    "hd95",
-    "keep_largest_per_class",
-    "kmeans",
-    "ks_statistic",
-    "load_case",
-    "load_mask",
-    "load_volume",
-    "make_case",
-    "make_dataset",
-    "match_histogram",
-    "mean_foreground_dice",
-    "pca_fit_transform",
-    "predict_labels",
-    "random_crop",
-    "read_features_csv",
-    "read_folds_csv",
-    "sample_augmentation",
-    "save_case",
-    "save_mask",
-    "save_volume",
-    "sensitivity_specificity",
-    "standardize",
-    "stratified_folds",
-    "stratify_cases",
-    "summarize",
-    "training_case",
-    "within_cluster_ss",
-    "write_features_csv",
-    "write_folds_csv",
-    "write_metrics_csv",
-    "zscore_normalize",
-]
+# The public names, by the submodule that defines each.
+_SUBMODULES = {
+    "errors": (
+        "AlignmentError",
+        "CheckpointError",
+        "ConfigError",
+        "DegenerateInputError",
+        "EmptyForegroundError",
+        "GliomaForgeError",
+        "GraphReleasedError",
+        "HeaderError",
+        "InsufficientDataError",
+        "LabelError",
+        "PairingError",
+        "ShapeError",
+        "TrainingDivergedError",
+        "TruncatedDataError",
+        "UnsupportedDataTypeError",
+    ),
+    "harmonize": (
+        "EmpiricalCDF",
+        "HarmonizationMapping",
+        "build_cdf",
+        "ks_statistic",
+        "match_histogram",
+        "zscore_normalize",
+    ),
+    "metrics": (
+        "HD95_SENTINEL",
+        "REGIONS",
+        "CaseMetrics",
+        "RegionMetrics",
+        "connected_components",
+        "dice",
+        "evaluate",
+        "evaluate_case",
+        "hd95",
+        "keep_largest_per_class",
+        "sensitivity_specificity",
+        "summarize",
+        "write_metrics_csv",
+    ),
+    "model": ("GliomaForgeNet", "ModelConfig"),
+    "nifti": (
+        "MODALITIES",
+        "VALID_LABELS",
+        "MultiModalCase",
+        "SegmentationMask",
+        "Volume",
+        "VolumeHeader",
+        "load_case",
+        "load_mask",
+        "load_volume",
+        "save_case",
+        "save_mask",
+        "save_volume",
+    ),
+    "radiomics": (
+        "FEATURE_NAMES",
+        "FeatureVector",
+        "extract_case_features",
+        "first_order_features",
+        "read_features_csv",
+        "write_features_csv",
+    ),
+    "stratify": (
+        "FoldAssignment",
+        "PCAModel",
+        "kmeans",
+        "pca_fit_transform",
+        "read_folds_csv",
+        "standardize",
+        "stratified_folds",
+        "stratify_cases",
+        "within_cluster_ss",
+        "write_folds_csv",
+    ),
+    "synthetic": ("make_case", "make_dataset"),
+    "train": (
+        "AdamW",
+        "FitResult",
+        "TrainConfig",
+        "TrainingCase",
+        "apply_augmentation",
+        "composite_loss",
+        "cosine_lr",
+        "cross_entropy",
+        "dice_loss",
+        "fit",
+        "mean_foreground_dice",
+        "predict_labels",
+        "random_crop",
+        "sample_augmentation",
+        "training_case",
+    ),
+}
+
+# name -> the submodule that defines it
+_EXPORTS = {name: module for module, names in _SUBMODULES.items() for name in names}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    """Import a public name's submodule on first use, and keep the name."""
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

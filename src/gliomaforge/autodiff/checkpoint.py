@@ -3,8 +3,18 @@
 Layout, all little-endian: 8-byte magic "GFCK0001", then one record per
 array: uint32 name length, utf-8 name, uint32 rank, uint32 dims, float32
 payload in C order. Record order is preserved round-trip.
+
+Records are streamed both ways. A save writes each record's header and
+then its payload straight from the array (a float32 C-order array is not
+copied), and a load reads each payload straight into the array it returns,
+so neither holds the file's bytes beside the arrays. Every field is checked
+against the file's size before it is read, so a cut file raises
+`CheckpointError` naming the path and the offset where it ends too soon,
+as does a record name that is not utf-8.
 """
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -15,48 +25,50 @@ MAGIC = b"GFCK0001"
 
 
 def save_checkpoint(path, arrays: dict[str, np.ndarray]) -> None:
-    chunks = [MAGIC]
-    for name, arr in arrays.items():
-        payload = np.ascontiguousarray(arr, dtype="<f4")
-        encoded = name.encode("utf-8")
-        chunks.append(struct.pack("<I", len(encoded)))
-        chunks.append(encoded)
-        chunks.append(struct.pack("<I", payload.ndim))
-        chunks.append(struct.pack(f"<{payload.ndim}I", *payload.shape))
-        chunks.append(payload.tobytes())
     with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+        fh.write(MAGIC)
+        for name, arr in arrays.items():
+            _write_record(fh, name, arr)
+
+
+def _write_record(fh, name, arr):
+    """One record; a payload copied to float32 dies before the next is made."""
+    payload = np.ascontiguousarray(arr, dtype="<f4")
+    encoded = name.encode("utf-8")
+    rank = payload.ndim
+    fh.write(struct.pack(f"<I{len(encoded)}sI{rank}I", len(encoded), encoded, rank, *payload.shape))
+    fh.write(payload)
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:8] != MAGIC:
-        raise CheckpointError(f"{path}: bad magic {blob[:8]!r}")
     arrays: dict[str, np.ndarray] = {}
-    offset = 8
+    with open(path, "rb") as fh:
+        magic = fh.read(8)
+        if magic != MAGIC:
+            raise CheckpointError(f"{path}: bad magic {magic!r}")
+        size = os.fstat(fh.fileno()).st_size
+        offset = 8
 
-    def take(n):
-        """Offset of the next n bytes, checked against the end of the file."""
-        nonlocal offset
-        if offset + n > len(blob):
-            raise CheckpointError(f"{path}: truncated at byte {offset}")
-        offset += n
-        return offset - n
+        def take(n):
+            """n, once the next n bytes are counted against the end of the file."""
+            nonlocal offset
+            if offset + n > size:
+                raise CheckpointError(f"{path}: truncated at byte {offset}")
+            offset += n
+            return n
 
-    def unpack(fmt):
-        return struct.unpack_from(fmt, blob, take(struct.calcsize(fmt)))
-
-    while offset < len(blob):
-        (name_len,) = unpack("<I")
-        start = take(name_len)
-        name = blob[start:offset].decode("utf-8")
-        (rank,) = unpack("<I")
-        shape = unpack(f"<{rank}I")
-        count = int(np.prod(shape)) if rank else 1
-        # a view of the file's bytes, then the one copy the array owns
-        payload = np.frombuffer(blob, "<f4", count, take(4 * count))
-        if name in arrays:
-            raise CheckpointError(f"{path}: duplicate record {name!r}")
-        arrays[name] = payload.reshape(shape).copy()
+        while offset < size:
+            (name_len,) = struct.unpack("<I", fh.read(take(4)))
+            start = offset
+            try:
+                name = fh.read(take(name_len)).decode("utf-8")
+            except UnicodeDecodeError:
+                raise CheckpointError(f"{path}: record name at byte {start} is not utf-8") from None
+            (rank,) = struct.unpack("<I", fh.read(take(4)))
+            shape = struct.unpack(f"<{rank}I", fh.read(take(4 * rank)))
+            if name in arrays:
+                raise CheckpointError(f"{path}: duplicate record {name!r}")
+            take(4 * math.prod(shape))
+            arrays[name] = payload = np.empty(shape, "<f4")
+            fh.readinto(payload)
     return arrays

@@ -22,7 +22,11 @@ operand (a Python float, an np.float64, a 0-d array) takes the dtype of
 the tensor it meets: under NumPy 2 promotion a float64 0-d array is not
 "weak", so `x * 0.5` would otherwise turn a float32 tensor, and every
 tensor and gradient downstream of it, into float64. Gradient arrays are
-never mutated in place; accumulation always allocates.
+never mutated in place: a sum allocates, and a leaf's first gradient
+since it was zeroed is kept as it is given, which may be an array another
+leaf holds too, or a read-only broadcast. Adding it to the zeros would
+give the same values, but for the sign of a zero, from a second array
+and a full pass.
 """
 
 from contextlib import contextmanager
@@ -67,6 +71,7 @@ class Tensor:
 
     __array_priority__ = 100
     _released = False  # set once backward has swept this node
+    _zeros = None  # the zeros `.grad` holds until a gradient arrives
 
     def __init__(self, data, requires_grad=False):
         arr = np.asarray(data)
@@ -77,7 +82,7 @@ class Tensor:
         # leaves that require grad start at zeros so an unused leaf still
         # reports a well-defined (zero) gradient after backward; np.zeros
         # leaves a large buffer's pages untouched until it is written
-        self.grad = np.zeros(arr.shape, arr.dtype) if requires_grad else None
+        self.grad = self._zeros = np.zeros(arr.shape, arr.dtype) if requires_grad else None
         self._parents = ()
         self._backward_fn = None
 
@@ -104,7 +109,7 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def zero_grad(self):
-        self.grad = np.zeros(self.shape, self.dtype) if self.requires_grad else None
+        self.grad = self._zeros = np.zeros(self.shape, self.dtype) if self.requires_grad else None
 
     # -- graph construction ------------------------------------------------
 
@@ -349,7 +354,9 @@ def _accumulate(tensor, grad):
     if not tensor.requires_grad:
         return
     grad = grad.reshape(tensor.shape)
-    tensor.grad = grad if tensor.grad is None else tensor.grad + grad
+    # by identity, not value: zeros the caller assigned are added to
+    zeros, tensor._zeros = tensor._zeros, None
+    tensor.grad = grad if tensor.grad is None or tensor.grad is zeros else tensor.grad + grad
 
 
 class Parameter(Tensor):

@@ -13,7 +13,6 @@ from dataclasses import fields
 
 from .errors import ConfigError
 from .model import ModelConfig
-from .train import TrainConfig
 
 
 def read_config(path) -> dict[str, str]:
@@ -77,9 +76,11 @@ def _dataclass_from(cls, mapping: dict[str, str], prefix: str, flags: dict):
     return cls(**{name: v for name, v in values.items() if v is not None})
 
 
-def train_config_from(mapping: dict[str, str], **flags) -> TrainConfig:
+def train_config_from(mapping: dict[str, str], **flags) -> "TrainConfig":
     """TrainConfig from the `train.*` keys; a keyword that is not None
     beats its key."""
+    from .train import TrainConfig  # here, so that loading a model never imports train
+
     return _dataclass_from(TrainConfig, mapping, "train", flags)
 
 

@@ -159,9 +159,13 @@ class HarmonizationMapping:
         levels = source_cdf.evaluate(knots)
         return cls(source_knots=knots, reference_knots=reference.quantile(levels))
 
-    def apply(self, x) -> np.ndarray:
+    def apply(self, x, out=None) -> np.ndarray:
         """The mapping at `x`, as float64: ``np.interp(x, source_knots,
         reference_knots)``, bit for bit.
+
+        With `out`, a C-contiguous array of x's shape, each chunk's float64
+        values are rounded into it as they are made, and `out` is returned.
+        It may be `x` itself: a chunk is read whole before it is written.
 
         A value's bin is floor((x - xp[0]) * scale) over `_INTERP_BINS`
         uniform bins, and each knot's bin is the same expression. Rounding
@@ -175,11 +179,17 @@ class HarmonizationMapping:
         x = np.asarray(x)
         if x.dtype not in (np.float32, np.float64):
             x = x.astype(np.float64)
+        if out is None:
+            out = np.empty(x.shape, dtype=np.float64)
+        elif out.shape != x.shape or not out.flags.c_contiguous:
+            raise ValueError(f"out must be C-contiguous of shape {x.shape}, got {out.shape}")
         if xp.size == 1:
-            return np.full(x.shape, fp[0])
+            out[...] = fp[0]
+            return out
         scale = _INTERP_BINS / (xp[-1] - xp[0])
         if not np.isfinite(scale):
-            return np.interp(x, xp, fp)
+            out[...] = np.interp(x, xp, fp)
+            return out
         n = xp.size
         knot_bins = np.empty(n, dtype=np.intp)
         _bins(xp, xp[0], scale, np.empty(n), knot_bins)
@@ -190,7 +200,6 @@ class HarmonizationMapping:
         table[knot_bins[-1] :] = n - 1
         slopes = np.append((fp[1:] - fp[:-1]) / (xp[1:] - xp[:-1]), np.nan)
 
-        out = np.empty(x.shape, dtype=np.float64)
         flat, res = x.reshape(-1), out.reshape(-1)
         step = _INTERP_CHUNK
         scratch = (np.empty(step), np.empty(step), np.empty(step, dtype=np.intp),
@@ -202,10 +211,11 @@ class HarmonizationMapping:
             np.take(table, bins, out=j, mode="clip")
             np.subtract(xc, np.take(xp, j, out=t, mode="clip"), out=t)
             t *= np.take(slopes, j, out=g, mode="clip")
-            np.add(t, np.take(fp, j, out=g, mode="clip"), out=rc)
-            if not np.isfinite(rc, out=finite).all():
+            np.add(t, np.take(fp, j, out=g, mode="clip"), out=t)
+            if not np.isfinite(t, out=finite).all():
                 undecided = ~finite
-                rc[undecided] = np.interp(xc[undecided], xp, fp)
+                t[undecided] = np.interp(xc[undecided], xp, fp)
+            rc[...] = t
         return out
 
 
@@ -230,9 +240,11 @@ def match_histogram(source: Volume, ref_cdf: EmpiricalCDF, quantiles: int = 256)
         raise EmptyForegroundError("source volume has no nonzero voxels")
     values = source.data[fg]
     mapping = HarmonizationMapping.fit(values, ref_cdf, quantiles=quantiles)
+    # the float64 mapped values round to float32 once, a chunk at a time,
+    # over the foreground they are made from
+    mapping.apply(values, out=values)
     out = source.data.copy()
-    # the float64 mapped values round to float32 once, on assignment
-    out[fg] = mapping.apply(values)
+    out[fg] = values
     return Volume(header=source.header, data=out)
 
 

@@ -39,6 +39,7 @@ each; checkpoints keep all four layers:
   backward would cost more than the fold saves at training crop sizes.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import product
@@ -132,14 +133,19 @@ class _Store:
     a model that loads a checkpoint draws nothing. The draw takes every
     pending weight's normals from the one generator in creation order, the
     same stream as drawing each weight when it is created, and keeps any
-    value assigned before it.
+    value assigned before it. The generator itself is made on first use,
+    so a model that only loads a checkpoint never imports `numpy.random`.
     """
 
     def __init__(self, seed, dtype):
-        self.rng = np.random.default_rng(seed)
+        self.seed = seed
         self.dtype = dtype
         self.params: dict[str, Parameter] = {}
         self._pending: list[tuple[Parameter, float]] = []
+
+    @functools.cached_property
+    def rng(self):
+        return np.random.default_rng(self.seed)
 
     def _add(self, name, array, init=None):
         if name in self.params:

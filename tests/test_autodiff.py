@@ -1,6 +1,8 @@
 """Tensor ops, gradients, spatial kernels, and the checkpoint format."""
 
 import operator
+import re
+import struct
 import tracemalloc
 import weakref
 
@@ -27,7 +29,7 @@ from gliomaforge.autodiff import (
 )
 from gliomaforge.autodiff import conv as conv_module
 from gliomaforge.autodiff.conv import _blas_blocks, _correlate, _correlate_adjoint, _im2col
-from gliomaforge.autodiff.tensor import _unbroadcast
+from gliomaforge.autodiff.tensor import _accumulate, _unbroadcast
 from gliomaforge.errors import CheckpointError, GraphReleasedError, ShapeError
 
 
@@ -158,6 +160,51 @@ class TestBroadcastNode:
             tracemalloc.stop()
         assert x.grad.tobytes() == c.data.tobytes()
         assert x.data.nbytes <= peak < 1.5 * x.data.nbytes
+
+
+class TestLeafGradient:
+    """A leaf's first gradient since it was zeroed is kept as it is given;
+    later ones are added to it, never in place."""
+
+    def test_first_gradient_makes_no_second_array(self):
+        # the backward of (x * c).sum() on a freshly zeroed leaf makes x's
+        # gradient and nothing else of x's size
+        rng = np.random.default_rng(34)
+        x = Tensor(rng.normal(size=(64, 64, 32)), requires_grad=True)
+        c = Tensor(rng.normal(size=(64, 64, 32)))
+        loss = (x * c).sum()
+        tracemalloc.start()
+        try:
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.grad.tobytes() == c.data.tobytes()
+        assert x.data.nbytes <= peak < 1.5 * x.data.nbytes
+
+    def test_read_only_first_gradient_then_a_sum(self):
+        # sum's gradient is a read-only broadcast: it is kept, and the next
+        # backward adds to it in a new array
+        x = Parameter(np.arange(6.0).reshape(2, 3), name="x")
+        x.sum().backward()
+        assert not x.grad.flags.writeable
+        first = x.grad
+        (x * 2.0).sum().backward()
+        np.testing.assert_array_equal(x.grad, np.full((2, 3), 3.0))
+        np.testing.assert_array_equal(first, np.ones((2, 3)))
+        x.zero_grad()
+        (x * 2.0).sum().backward()
+        np.testing.assert_array_equal(x.grad, np.full((2, 3), 2.0))
+
+    def test_zeros_are_known_by_identity(self):
+        # zeros assigned by the caller are added to, as any gradient is
+        x = Tensor(np.ones(4), requires_grad=True)
+        g = np.array([1.0, -0.0, 2.0, 3.0])
+        _accumulate(x, g)
+        assert np.shares_memory(x.grad, g)
+        x.grad = np.zeros(4)
+        _accumulate(x, g)
+        assert not np.shares_memory(x.grad, g) and not np.signbit(x.grad).any()
 
 
 SCALAR_OPS = {
@@ -892,6 +939,34 @@ class TestBackward:
         np.testing.assert_array_equal(gw1, gw2)
 
 
+def joined_checkpoint(arrays):
+    """The whole file as one bytes object, as the format's first writer built it."""
+    chunks = [MAGIC]
+    for name, arr in arrays.items():
+        payload = np.ascontiguousarray(arr, dtype="<f4")
+        encoded = name.encode("utf-8")
+        chunks.append(struct.pack("<I", len(encoded)))
+        chunks.append(encoded)
+        chunks.append(struct.pack("<I", payload.ndim))
+        chunks.append(struct.pack(f"<{payload.ndim}I", *payload.shape))
+        chunks.append(payload.tobytes())
+    return b"".join(chunks)
+
+
+_rng = np.random.default_rng(17)
+# inputs of rank 0 to 5: float64 cast to float32, a transposed view, an
+# empty array and a non-ASCII name
+CHECKPOINT_ARRAYS = {
+    "scalar": np.float64(-1.25),
+    "stem.bias": _rng.normal(size=5),
+    "attn.q.weight": _rng.normal(size=(3, 4)).astype(np.float32).T,
+    "empty": np.zeros((2, 0, 3)),
+    "norm.weight": _rng.normal(size=(1, 2, 3, 4)).astype(np.float32),
+    "stage1.kernel": _rng.normal(size=(2, 1, 3, 1, 2)),
+    "größe.µ": np.float32([1.0, -0.0, np.inf]),
+}
+
+
 class TestCheckpoint:
     def test_roundtrip_exact(self, tmp_path):
         rng = np.random.default_rng(15)
@@ -924,6 +999,83 @@ class TestCheckpoint:
         path.write_bytes(blob[:-6])
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    def test_bytes_equal_the_joined_writer(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, CHECKPOINT_ARRAYS)
+        assert path.read_bytes() == joined_checkpoint(CHECKPOINT_ARRAYS)
+        back = load_checkpoint(path)
+        assert list(back) == list(CHECKPOINT_ARRAYS)
+        for name, arr in CHECKPOINT_ARRAYS.items():
+            want = np.ascontiguousarray(arr, dtype="<f4")
+            assert back[name].dtype == want.dtype and back[name].shape == want.shape
+            assert back[name].tobytes() == want.tobytes()
+
+    def test_rank_zero_record(self, tmp_path):
+        # a writer gives a 0-d array rank 1; a rank-0 record still loads as 0-d
+        path = tmp_path / "scalar.ckpt"
+        path.write_bytes(MAGIC + struct.pack("<I1sI", 1, b"s", 0) + np.float32(2.5).tobytes())
+        back = load_checkpoint(path)
+        assert back["s"].shape == () and back["s"] == 2.5
+
+    def test_every_cut_is_a_checkpoint_error(self, tmp_path):
+        blob = joined_checkpoint(CHECKPOINT_ARRAYS)
+        ends, offset = {8}, 8
+        for name, arr in CHECKPOINT_ARRAYS.items():
+            payload = np.ascontiguousarray(arr, dtype="<f4")
+            offset += 8 + len(name.encode("utf-8")) + 4 * payload.ndim + payload.nbytes
+            ends.add(offset)
+        path = tmp_path / "cut.ckpt"
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            if cut in ends:
+                assert len(load_checkpoint(path)) == sorted(ends).index(cut)
+                continue
+            with pytest.raises(CheckpointError, match=re.escape(str(path))):
+                load_checkpoint(path)
+
+    def test_duplicate_record(self, tmp_path):
+        path = tmp_path / "dup.ckpt"
+        record = joined_checkpoint({"w": np.ones(2)})[8:]
+        path.write_bytes(MAGIC + record + record)
+        with pytest.raises(CheckpointError, match="duplicate record 'w'"):
+            load_checkpoint(path)
+
+    def test_name_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "name.ckpt"
+        path.write_bytes(MAGIC + struct.pack("<I1sII", 1, b"\xff", 1, 1) + bytes(4))
+        with pytest.raises(CheckpointError, match="byte 12 is not utf-8"):
+            load_checkpoint(path)
+
+    def test_load_holds_its_arrays_and_save_at_most_one_record(self, tmp_path):
+        # peaks beyond what opening the file costs (its write buffer), with
+        # 1 KiB for the Python objects of a record (its array, header bytes)
+        rng = np.random.default_rng(16)
+        arrays = {f"w{i}": rng.normal(size=(64, 32, 3, 3, 3)) for i in range(4)}
+        path = tmp_path / "big.ckpt"
+        header = 4 + len("w0") + 4 + 4 * 5
+        record = header + 64 * 32 * 27 * 4
+        back, peaks = {}, []
+        tracemalloc.start()
+        try:
+            for step in (
+                lambda: save_checkpoint(path, {}),
+                lambda: save_checkpoint(path, arrays),  # float64: a float32 copy a record
+                lambda: back.update(load_checkpoint(path)),
+                lambda: save_checkpoint(path, back),  # float32: written as they are
+            ):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                step()
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        opened, saved64, loaded, saved32 = peaks
+        payload = sum(a.nbytes for a in back.values())
+        assert payload == 4 * (record - header)
+        assert saved64 - opened < record + 1024, (saved64, opened, record)
+        assert saved32 - opened < 1024, (saved32, opened)
+        assert payload <= loaded < 1.1 * payload, (loaded, payload)
 
     def test_parameter_names(self):
         p = Parameter(np.zeros((2, 2)), name="block0.attn.q")

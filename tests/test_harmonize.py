@@ -128,6 +128,26 @@ class TestMatchHistogram:
         assert np.array_equal(out.data.view(np.uint32), want.view(np.uint32))
         assert np.signbit(out.data[0, 0, :4]).all()
 
+    def test_holds_one_result_beside_its_foreground(self):
+        # warm (first-call imports allocate too), then the traced call holds
+        # at most the output, the mask and the float32 foreground it maps
+        # in place, plus the interpolation table and a chunk of scratch
+        import tracemalloc
+
+        src = ball_volume(shape=(96, 96, 96), radius=40, seed=15, shift=2.0)
+        ref_cdf = build_cdf(ball_volume(shape=(48, 48, 48), radius=20, seed=16).data)
+        want = match_histogram(src, ref_cdf)
+        foreground = int(np.count_nonzero(src.data))
+        tracemalloc.start()
+        try:
+            out = match_histogram(src, ref_cdf)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.data.tobytes() == want.data.tobytes()
+        bound = out.data.nbytes + src.data.size + 4 * foreground
+        assert peak < 1.1 * bound, (peak, bound)
+
     def test_quantile_count_validated(self):
         src = ball_volume(seed=12)
         with pytest.raises(ConfigError):
@@ -295,6 +315,29 @@ class TestTableInterpolation:
         want = np.interp(x.astype(np.float64), mapping.source_knots, mapping.reference_knots)
         assert got.shape == x.shape and got.dtype == np.float64
         assert np.array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_out_rounds_each_value_once(self, dtype):
+        # out= holds the float64 values rounded to its dtype, and may be x
+        rng = np.random.default_rng(5)
+        x = rng.lognormal(1.0, 0.5, size=50_003).astype(dtype)
+        x[:3] = [np.inf, np.nan, -1.0]
+        mapping = HarmonizationMapping.fit(x[3:], build_cdf(rng.lognormal(2.0, 0.3, size=5000)))
+        want = mapping.apply(x).astype(np.float32)
+        out = np.empty(x.shape, dtype=np.float32)
+        assert mapping.apply(x, out=out) is out
+        assert np.array_equal(bits(out), bits(want))
+        if dtype == np.float32:
+            assert mapping.apply(x, out=x) is x
+            assert np.array_equal(bits(x), bits(want))
+
+    def test_out_of_another_shape_is_refused(self):
+        mapping = HarmonizationMapping(source_knots=np.array([0.0, 1.0]),
+                                       reference_knots=np.array([0.0, 2.0]))
+        with pytest.raises(ValueError):
+            mapping.apply(np.ones(4), out=np.empty(5))
+        with pytest.raises(ValueError):
+            mapping.apply(np.ones((2, 2)), out=np.empty((2, 2)).T)
 
     def test_allocates_only_its_output_and_chunk_temporaries(self):
         import tracemalloc
