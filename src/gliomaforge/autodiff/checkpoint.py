@@ -2,7 +2,7 @@
 
 Layout, all little-endian: 8-byte magic "GFCK0001", then one record per
 array: uint32 name length, utf-8 name, uint32 rank, uint32 dims, float32
-payload in C order. Record order is preserved round-trip.
+payload in C order. Record order and rank (0 too) survive a round-trip.
 
 Records are streamed both ways. A save writes each record's header and
 then its payload straight from the array (a float32 C-order array is not
@@ -33,7 +33,7 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray]) -> None:
 
 def _write_record(fh, name, arr):
     """One record; a payload copied to float32 dies before the next is made."""
-    payload = np.ascontiguousarray(arr, dtype="<f4")
+    payload = np.asarray(arr, dtype="<f4", order="C")  # ascontiguousarray makes 0-d 1-d
     encoded = name.encode("utf-8")
     rank = payload.ndim
     fh.write(struct.pack(f"<I{len(encoded)}sI{rank}I", len(encoded), encoded, rank, *payload.shape))

@@ -323,11 +323,16 @@ def _holdout(ids, seed):
 
 def _load_model(args, config) -> GliomaForgeNet:
     """The model in `--ckpt`, built from `<ckpt>.cfg` if present, else from
-    the `model.*` keys of `--config`; unseeded, as the checkpoint sets every weight."""
+    the `model.*` keys of `--config`; unseeded, as the checkpoint sets every
+    weight. A `model.*` key of `--config` must agree with the `.cfg`."""
     ckpt_cfg = Path(str(args.ckpt) + ".cfg")
     model_cfg = cfgmod.model_config_from(
         cfgmod.read_config(ckpt_cfg) if ckpt_cfg.exists() else config
     )
+    kinds = {f.name: f.type for f in fields(ModelConfig)}
+    for key, raw in cfgmod.section(config, "model").items():
+        if cfgmod.option(None, config, f"model.{key}", None, kinds[key]) != getattr(model_cfg, key):
+            raise ConfigError(f"{args.config}: model.{key} = {raw} differs from {ckpt_cfg}")
     model = GliomaForgeNet(config=model_cfg)
     model.load(args.ckpt)
     return model
@@ -430,9 +435,7 @@ def cmd_predict(args) -> int:
     model = _load_model(args, config)
     ids = [args.case_id] if args.case_id else list_case_ids(args.in_dir)
     if len(ids) > 1:
-        raise ConfigError(
-            f"{args.in_dir} holds {len(ids)} cases; pick one with --case-id"
-        )
+        raise ConfigError(f"{args.in_dir} holds {len(ids)} cases; pick one with --case-id")
     case = load_case(args.in_dir, ids[0], decode=MODALITIES)
     # no read_ahead: a reader thread raised predict's peak RSS
     if args.ref_dir:

@@ -2,10 +2,10 @@
 
 Input N x 4 x D x H x W (spatial dims divisible by 32) flows through a
 dual-path convolutional stem (low-pass / high-pass split), four encoder
-stages of spatial-reduction attention + depthwise Mix-FFN blocks at
-resolutions 1/4 .. 1/32, a combined spatial + channel attention gate on
-the deepest features, and a transpose-conv decoder that fuses the skip
-pyramid back to full-resolution class logits.
+stages of spatial-reduction attention + depthwise Mix-FFN blocks (at 1/4
+.. 1/32 resolution with the default strides), a combined spatial + channel
+attention gate on the deepest features, and a transpose-conv decoder that
+undoes each stage's stride, fusing the skips, to full-resolution logits.
 
 Memory at inference is kept near the size of the input. A forward with
 `dims` and grad off (`train.predict_labels`) returns uint8 labels and
@@ -24,10 +24,10 @@ each; checkpoints keep all four layers:
 
 - The decoder's last upsampler and its 1x1 head run as one transposed conv
   with `num_classes` outputs, whose weight and bias are composed from both
-  layers' parameters as graph ops on every forward, training included.
-  For labels, `_Decoder.labels` runs `logits` on a few 1/4-resolution
-  depth planes at a time, each block argmaxed before the next is made,
-  with the bits of the one-shot conv.
+  layers' parameters as graph ops once per forward, training included.
+  For labels, `_Decoder.labels` runs `logits` with that one composed head
+  on a few stage-1-resolution depth planes at a time, each block argmaxed
+  before the next is made, with the bits of the one-shot conv.
 - The frequency stem and stage 1's patch merge run as one (k+2)^3 conv
   when grad is off (`_StemMerge`), so inference never builds the stem's
   2C-channel full-resolution output. The composed conv sees stem values
@@ -548,29 +548,24 @@ class _DualAttention:
 
 
 class _Decoder:
-    """Upsample 1/32 features, fusing projected skips at 1/16, 1/8, 1/4, to
-    full-resolution class logits, or with `dims` to their argmax labels."""
+    """Upsample the deepest features, fusing each shallower stage's projected
+    skip, to full-resolution class logits, or with `dims` to their argmax
+    labels. up3, up2, up1 and upfinal undo the strides of stages 4, 3, 2, 1."""
 
     def __init__(self, store, name, cfg):
-        dc = cfg.decoder_channels
-        chans = cfg.stage_channels
-        self.proj4 = _Conv(store, f"{name}.proj4", chans[3], dc, 1)
-        self.proj3 = _Conv(store, f"{name}.proj3", chans[2], dc, 1)
-        self.proj2 = _Conv(store, f"{name}.proj2", chans[1], dc, 1)
-        self.proj1 = _Conv(store, f"{name}.proj1", chans[0], dc, 1)
-        self.up3 = _TConv(store, f"{name}.up3", dc, dc, 2, 2)
-        self.up2 = _TConv(store, f"{name}.up2", dc, dc, 2, 2)
-        self.up1 = _TConv(store, f"{name}.up1", dc, dc, 2, 2)
-        self.upfinal = _TConv(store, f"{name}.upfinal", dc, dc, 4, 4)
+        chans, dc = cfg.stage_channels, cfg.decoder_channels
+        self.projs = [_Conv(store, f"{name}.proj{i + 1}", chans[i], dc, 1) for i in (3, 2, 1, 0)]
+        self.ups = [
+            _TConv(store, f"{name}.{up}", dc, dc, s, s)
+            for up, s in zip(("up3", "up2", "up1", "upfinal"), reversed(cfg.stage_strides))
+        ]
+        self.upfinal = self.ups[-1]
         self.head = _Conv(store, f"{name}.head", dc, cfg.num_classes, 1)
 
     def __call__(self, pyramid, attended, dims=None):
-        x = self.up3(self.proj4(attended))
-        x = (x + self.proj3(pyramid[2])).relu()
-        x = self.up2(x)
-        x = (x + self.proj2(pyramid[1])).relu()
-        x = self.up1(x)
-        x = (x + self.proj1(pyramid[0])).relu()
+        x = self.projs[0](attended)
+        for up, proj, skip in zip(self.ups, self.projs[1:], reversed(pyramid[:3])):
+            x = (up(x) + proj(skip)).relu()
         return self.logits(x) if dims is None else self.labels(x, dims)
 
     def _composed(self):
@@ -588,9 +583,9 @@ class _Decoder:
         bias = (mix @ self.upfinal.bias.reshape(dc, 1)).reshape(-1) + self.head.bias
         return weight, bias
 
-    def logits(self, x):
-        """head(upfinal(x)) as one transposed conv with num_classes outputs."""
-        weight, bias = self._composed()
+    def logits(self, x, head=None):
+        """head(upfinal(x)) as one transposed conv; `head` is `_composed()`'s pair."""
+        weight, bias = head or self._composed()
         return transpose_conv3d(x, weight, bias=bias, stride=self.upfinal.stride)
 
     def labels(self, x, dims):
@@ -598,13 +593,14 @@ class _Decoder:
         as uint8 (N, *dims). Stride equals kernel, so `logits` runs on the
         shortest runs of x's depth planes that keep the whole product's bits
         (`_blas_blocks`), none past the crop, each argmaxed before the next."""
+        head = self._composed()
         k, (ci, depth, h, w) = self.upfinal.weight.shape[-1], x.shape[1:]
         bounds = _blas_blocks(depth, 1, ci * self.head.weight.shape[0] * k * k * h * w, h * w)
         labels = np.empty((x.shape[0], *dims), dtype=np.uint8)
         for z0, z1 in zip(bounds, bounds[1:]):
             if z0 * k >= dims[0]:
                 break
-            scores = self.logits(Tensor(x.data[:, :, z0:z1])).data
+            scores = self.logits(Tensor(x.data[:, :, z0:z1]), head).data
             rows = labels[:, z0 * k : z1 * k]
             rows[...] = np.argmax(scores[:, :, : rows.shape[1], : dims[1], : dims[2]], axis=1)
         return labels

@@ -94,9 +94,9 @@ def one_hot(labels: np.ndarray, num_classes: int = NUM_CLASSES) -> np.ndarray:
     return flat.reshape(labels.shape + (num_classes,))
 
 
-def _onehot_nchw(labels: np.ndarray) -> np.ndarray:
-    """(N, D, H, W) int labels -> (N, 4, D, H, W) float one-hot."""
-    return np.moveaxis(one_hot(labels), -1, 1)
+def _onehot_nchw(labels: np.ndarray, num_classes: int = NUM_CLASSES) -> np.ndarray:
+    """(N, D, H, W) int labels -> (N, num_classes, D, H, W) float one-hot."""
+    return np.moveaxis(one_hot(labels, num_classes), -1, 1)
 
 
 def dice_loss(probs: Tensor, target: Tensor) -> Tensor:
@@ -116,7 +116,7 @@ def dice_loss(probs: Tensor, target: Tensor) -> Tensor:
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean voxelwise negative log softmax probability of the true class."""
-    return _cross_entropy(logits, _onehot_nchw(labels))
+    return _cross_entropy(logits, _onehot_nchw(labels, logits.shape[1]))
 
 
 def _cross_entropy(logits: Tensor, target: np.ndarray) -> Tensor:
@@ -131,7 +131,7 @@ def _cross_entropy(logits: Tensor, target: np.ndarray) -> Tensor:
 
 
 def composite_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
-    target = _onehot_nchw(labels)  # one one-hot grid serves both terms
+    target = _onehot_nchw(labels, logits.shape[1])  # one grid serves both terms
     probs = softmax(logits, axis=1)
     return dice_loss(probs, Tensor(target)) + _cross_entropy(logits, target)
 

@@ -940,10 +940,10 @@ class TestBackward:
 
 
 def joined_checkpoint(arrays):
-    """The whole file as one bytes object, as the format's first writer built it."""
+    """The whole file as one bytes object, built in memory: the streamed writer's reference."""
     chunks = [MAGIC]
     for name, arr in arrays.items():
-        payload = np.ascontiguousarray(arr, dtype="<f4")
+        payload = np.asarray(arr, dtype="<f4", order="C")
         encoded = name.encode("utf-8")
         chunks.append(struct.pack("<I", len(encoded)))
         chunks.append(encoded)
@@ -1007,22 +1007,31 @@ class TestCheckpoint:
         back = load_checkpoint(path)
         assert list(back) == list(CHECKPOINT_ARRAYS)
         for name, arr in CHECKPOINT_ARRAYS.items():
-            want = np.ascontiguousarray(arr, dtype="<f4")
+            want = np.asarray(arr, dtype="<f4", order="C")
             assert back[name].dtype == want.dtype and back[name].shape == want.shape
             assert back[name].tobytes() == want.tobytes()
 
     def test_rank_zero_record(self, tmp_path):
-        # a writer gives a 0-d array rank 1; a rank-0 record still loads as 0-d
         path = tmp_path / "scalar.ckpt"
         path.write_bytes(MAGIC + struct.pack("<I1sI", 1, b"s", 0) + np.float32(2.5).tobytes())
         back = load_checkpoint(path)
         assert back["s"].shape == () and back["s"] == 2.5
 
+    @pytest.mark.parametrize("scalar", [np.float32(3.5), np.float64(3.5), np.array(3.5)])
+    def test_rank_zero_roundtrip(self, tmp_path, scalar):
+        path = tmp_path / "scalar.ckpt"
+        save_checkpoint(path, {"s": scalar, "w": np.ones((2, 1), dtype=np.float32)})
+        record = struct.pack("<I1sI", 1, b"s", 0) + np.float32(3.5).tobytes()
+        assert path.read_bytes()[8 : 8 + len(record)] == record
+        back = load_checkpoint(path)
+        assert back["s"].shape == () and back["s"] == 3.5
+        assert back["w"].shape == (2, 1)
+
     def test_every_cut_is_a_checkpoint_error(self, tmp_path):
         blob = joined_checkpoint(CHECKPOINT_ARRAYS)
         ends, offset = {8}, 8
         for name, arr in CHECKPOINT_ARRAYS.items():
-            payload = np.ascontiguousarray(arr, dtype="<f4")
+            payload = np.asarray(arr, dtype="<f4", order="C")
             offset += 8 + len(name.encode("utf-8")) + 4 * payload.ndim + payload.nbytes
             ends.add(offset)
         path = tmp_path / "cut.ckpt"

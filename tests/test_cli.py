@@ -1034,6 +1034,16 @@ class TestPredictCommand:
         assert main(argv) == EXIT_DATA
         assert "gliomaforge: error:" in capsys.readouterr().err
 
+    def test_config_model_keys_must_equal_ckpt_cfg(self, workspace, tmp_path, capsys):
+        argv = ["predict", "--ckpt", str(workspace["root"] / "pre.ck"),
+                "--in", str(self._case_dir(workspace, tmp_path)), "--out", str(tmp_path / "seg.nii"),
+                "--config"]
+        assert main(argv + [str(workspace["cfg"])]) == EXIT_OK  # the keys it was trained with
+        other = tmp_path / "other.cfg"
+        other.write_text(TINY_CFG.replace("decoder_channels = 8", "decoder_channels = 16"))
+        assert main(argv + [str(other)]) == EXIT_DATA
+        assert "model.decoder_channels = 16 differs from" in capsys.readouterr().err
+
     def test_quantiles_flag_needs_ref_dir(self, workspace, tmp_path, capsys):
         argv = ["predict", "--ckpt", str(workspace["root"] / "pre.ck"),
                 "--in", str(self._case_dir(workspace, tmp_path)), "--out", str(tmp_path / "seg.nii")]

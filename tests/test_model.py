@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from gliomaforge.selftest import (
     random_mix_ffn,
     stem_merge_fold_check,
 )
+from gliomaforge.train import AdamW, composite_loss, predict_labels
 
 SMALL = dict(
     stage_channels=[8, 16, 32, 64],
@@ -346,6 +348,50 @@ class TestForward:
             a = net(Tensor(x)).data
             b = net(Tensor(x)).data
         np.testing.assert_array_equal(a, b)
+
+
+# a valid non-default value for every ModelConfig field, on the small model
+FIELD_VALUES = [
+    ("in_channels", 2),
+    ("num_classes", 3),
+    ("stage_channels", [12, 16, 40, 64]),
+    ("stage_heads", [2, 4, 2, 4]),
+    ("stage_strides", [2, 2, 2, 4]),
+    ("stage_strides", [2, 4, 2, 2]),
+    ("stage_strides", [8, 2, 2, 1]),
+    ("stage_depths", [2, 1, 1, 2]),
+    ("sr_ratios", [4, 2, 1, 1]),
+    ("decoder_channels", 12),
+    ("spatial_attn_kernel", 3),
+    ("channel_attn_reduction", 4),
+    ("ffn_expansion", 3),
+]
+
+
+class TestEveryField:
+    """Each field that `ModelConfig` accepts builds a network that trains
+    and predicts on the input's grid."""
+
+    def test_every_field_is_covered(self):
+        assert {name for name, _ in FIELD_VALUES} == {f.name for f in fields(ModelConfig)}
+
+    @pytest.mark.parametrize("name, value", FIELD_VALUES, ids=lambda v: str(v))
+    def test_trains_a_step_and_predicts(self, name, value):
+        cfg = ModelConfig(**{**SMALL, name: value})
+        net = GliomaForgeNet(cfg, seed=4)
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.normal(size=(1, cfg.in_channels, 32, 32, 32)).astype(np.float32))
+        logits = net(x)
+        assert logits.shape == (1, cfg.num_classes, 32, 32, 32)
+        loss = composite_loss(logits, rng.integers(0, cfg.num_classes, size=(1, 32, 32, 32)))
+        loss.backward()
+        assert np.isfinite(loss.item())
+        assert all(p.grad is not None and np.isfinite(p.grad).all() for p in net.parameters())
+        AdamW(net.parameters(), lr=1e-3).step()
+        images = rng.normal(size=(cfg.in_channels, 40, 64, 33)).astype(np.float32)
+        labels = predict_labels(net, images)
+        assert labels.shape == (40, 64, 33) and labels.dtype == np.uint8
+        assert labels.max() < cfg.num_classes
 
 
 class TestDualAttention:
