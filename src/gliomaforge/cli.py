@@ -54,7 +54,15 @@ from .stratify import (
     stratify_cases,
     write_folds_csv,
 )
-from .train import TrainConfig, fit, padded_dims, predict_labels, training_case, write_fit_log
+from .train import (
+    NUM_CLASSES,
+    TrainConfig,
+    fit,
+    padded_dims,
+    predict_labels,
+    training_case,
+    write_fit_log,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -321,14 +329,30 @@ def _holdout(ids, seed):
     return [ids[i] for i in order[n_val:]], [ids[i] for i in order[:n_val]]
 
 
+def _pipeline_model_config(mapping, source) -> ModelConfig:
+    """The ModelConfig of `mapping`'s `model.*` keys. The pipeline feeds the
+    network the four MODALITIES and trains it on BraTS labels 0..3, so any
+    other `in_channels` or `num_classes` is a ConfigError naming the key
+    and `source`, raised before a case is read."""
+    model_cfg = cfgmod.model_config_from(mapping)
+    for key, fed in (("in_channels", len(MODALITIES)), ("num_classes", NUM_CLASSES)):
+        if getattr(model_cfg, key) != fed:
+            raise ConfigError(
+                f"{source}: model.{key} = {getattr(model_cfg, key)}, but the pipeline "
+                f"gives the network {fed}"
+            )
+    return model_cfg
+
+
 def _load_model(args, config) -> GliomaForgeNet:
     """The model in `--ckpt`, built from `<ckpt>.cfg` if present, else from
     the `model.*` keys of `--config`; unseeded, as the checkpoint sets every
     weight. A `model.*` key of `--config` must agree with the `.cfg`."""
     ckpt_cfg = Path(str(args.ckpt) + ".cfg")
-    model_cfg = cfgmod.model_config_from(
-        cfgmod.read_config(ckpt_cfg) if ckpt_cfg.exists() else config
-    )
+    if ckpt_cfg.exists():
+        model_cfg = _pipeline_model_config(cfgmod.read_config(ckpt_cfg), ckpt_cfg)
+    else:
+        model_cfg = _pipeline_model_config(config, args.config)
     kinds = {f.name: f.type for f in fields(ModelConfig)}
     for key, raw in cfgmod.section(config, "model").items():
         if cfgmod.option(None, config, f"model.{key}", None, kinds[key]) != getattr(model_cfg, key):
@@ -358,7 +382,7 @@ def _save_fit(args, model, result) -> None:
 def cmd_pretrain(args) -> int:
     config, train_cfg, epochs = _train_common(args, "epochs_pretrain")
     train_ids, val_ids = _holdout(list_case_ids(args.data), train_cfg.seed)
-    model = GliomaForgeNet(config=cfgmod.model_config_from(config), seed=train_cfg.seed)
+    model = GliomaForgeNet(config=_pipeline_model_config(config, args.config), seed=train_cfg.seed)
     train = _load_training_cases(args.data, train_ids)
     val = _load_training_cases(args.data, val_ids)
     result = fit(model, train, val, train_cfg, epochs=epochs)

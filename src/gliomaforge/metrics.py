@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .autodiff.parallel import map_blocks
 from .errors import PairingError, ShapeError
 from .nifti import SegmentationMask, _find_file, list_mask_ids, load_mask
 
@@ -34,6 +35,12 @@ _UINT8_REGIONS = {
 }
 
 HD95_SENTINEL = 373.13
+
+# Voxels whose component labels `keep_largest_per_class` counts at once:
+# np.bincount copies its input to int64, which for a BraTS-size class box
+# would be twice the int32 labels; run concurrently for three classes, the
+# copies set peak RSS.
+_BINCOUNT_CHUNK = 1 << 18
 
 
 def _as_labels(mask) -> np.ndarray:
@@ -96,19 +103,28 @@ def keep_largest_per_class(seg: SegmentationMask) -> SegmentationMask:
     order, which is the lowest component label by construction. Labelling
     runs on each class's bounding box only: scan order survives the
     translation, so numbering and the tie-break are those of the full grid.
+    The three classes run on every CPU (`map_blocks`), each taking its mask
+    from the input: their voxels are disjoint, so the erasures commute.
     """
     labels = seg.labels.copy()
-    for cls in (1, 2, 3):
-        mask = labels == cls
+
+    def keep_largest(cls):
+        mask = seg.labels == cls
         box = _bbox(mask)
         if box is None:
-            continue
+            return
         comp, count = connected_components(mask[box])
+        del mask
         if count <= 1:
-            continue
-        sizes = np.bincount(comp.ravel())[1:]
-        winner = int(np.argmax(sizes)) + 1  # argmax keeps the first max: earliest seed
-        labels[box][(comp != 0) & (comp != winner)] = 0
+            return
+        flat, sizes = comp.reshape(-1), np.zeros(count + 1, dtype=np.intp)
+        for start in range(0, flat.size, _BINCOUNT_CHUNK):
+            sizes += np.bincount(flat[start : start + _BINCOUNT_CHUNK], minlength=count + 1)
+        winner = int(np.argmax(sizes[1:])) + 1  # argmax keeps the first max: earliest seed
+        comp[comp == winner] = 0  # what is left nonzero is erased
+        labels[box][comp != 0] = 0
+
+    map_blocks(keep_largest, [1, 2, 3], blas=False)
     return SegmentationMask(labels=labels, spacing=seg.spacing)
 
 

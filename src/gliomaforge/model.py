@@ -17,8 +17,9 @@ gives the unchunked map's rows exactly; each chunk's softmax is the one
 `autodiff.softmax` node, for grad on and off alike. Mix-FFN is
 one graph node whose one forward runs a block of output depth planes at a
 time: with grad off a few planes of one sample, so its hidden arrays, four
-times as wide as the tokens, exist for one block only; when recorded, the
-whole batch and grid. Both give the same bits.
+times as wide as the tokens, exist for one block per thread only (inside
+`predict_labels` the blocks run on every CPU, `autodiff.parallel`); when
+recorded, the whole batch and grid as one block. Both give the same bits.
 Two pairs of linear maps with nothing between them run as one layer
 each; checkpoints keep all four layers:
 
@@ -27,7 +28,8 @@ each; checkpoints keep all four layers:
   layers' parameters as graph ops once per forward, training included.
   For labels, `_Decoder.labels` runs `logits` with that one composed head
   on a few stage-1-resolution depth planes at a time, each block argmaxed
-  before the next is made, with the bits of the one-shot conv.
+  into its own rows of the labels, with the bits of the one-shot conv;
+  inside `predict_labels` the blocks run on every CPU.
 - The frequency stem and stage 1's patch merge run as one (k+2)^3 conv
   when grad is off (`_StemMerge`), so inference never builds the stem's
   2C-channel full-resolution output. The composed conv sees stem values
@@ -62,6 +64,7 @@ from .autodiff import (
     transpose_conv3d,
 )
 from .autodiff.conv import _DEPTHWISE_BLOCK, _blas_blocks, _depthwise, _depthwise_grads
+from .autodiff.parallel import map_blocks
 from .autodiff.tensor import _accumulate, gelu_grad, gelu_values
 from .errors import CheckpointError, ConfigError, ShapeError
 
@@ -453,9 +456,10 @@ class _MixFFN:
         a time: fc1 on its planes and the plane either side that its taps
         read, then the taps, GELU and fc2 into the output's rows. With no
         `saved` list a block is one sample's planes, as many as
-        `_DEPTHWISE_BLOCK` holds; with one it is the whole batch and grid,
-        and `saved` takes what backward reads. Each value is summed as the
-        one block sums it (`_blas_blocks`), so both give the same bits."""
+        `_DEPTHWISE_BLOCK` holds, and the blocks go to `map_blocks`; with one
+        it is the whole batch and grid, and `saved` takes what backward
+        reads. Each value is summed as the one block sums it
+        (`_blas_blocks`), so both give the same bits."""
         n, _, c = x.shape
         d, h, w = grid
         plane = h * w
@@ -467,7 +471,9 @@ class _MixFFN:
         zb = max(1, _DEPTHWISE_BLOCK // (plane * hidden)) if saved is None else d
         bounds = _blas_blocks(d, zb, plane * c * hidden, plane)
         samples = [slice(i, i + 1) for i in range(n)] if saved is None else [slice(None)]
-        for i, (z0, z1) in product(samples, zip(bounds, bounds[1:])):
+
+        def block(job):
+            i, (z0, z1) = job
             lo, hi = max(z0 - 1, 0), min(z1 + 1, d)
             pre = (x[i, lo * plane : hi * plane] @ w1).reshape(-1, hi - lo, h, w, hidden)
             pre += b1
@@ -476,7 +482,7 @@ class _MixFFN:
             del pre
             act = _depthwise(padded, taps, 3, 1, (z1 - z0, h, w)).reshape(len(padded), -1, hidden)
             if saved is not None:
-                saved += [taps, padded]
+                saved.extend([taps, padded])
             del padded
             act += self.dw_bias.data
             gelu, cdf = gelu_values(act)
@@ -484,8 +490,9 @@ class _MixFFN:
             np.matmul(gelu, w2, out=rows)
             rows += b2
             if saved is not None:
-                saved += [act, cdf]
-            del act, gelu, cdf
+                saved.extend([act, cdf])
+
+        map_blocks(block, list(product(samples, zip(bounds, bounds[1:]))))
         return out
 
 
@@ -592,17 +599,20 @@ class _Decoder:
         """The first-max argmax over classes of `logits(x)`, cropped to `dims`,
         as uint8 (N, *dims). Stride equals kernel, so `logits` runs on the
         shortest runs of x's depth planes that keep the whole product's bits
-        (`_blas_blocks`), none past the crop, each argmaxed before the next."""
+        (`_blas_blocks`), none past the crop, each argmaxed into its rows
+        (`map_blocks`)."""
         head = self._composed()
         k, (ci, depth, h, w) = self.upfinal.weight.shape[-1], x.shape[1:]
         bounds = _blas_blocks(depth, 1, ci * self.head.weight.shape[0] * k * k * h * w, h * w)
         labels = np.empty((x.shape[0], *dims), dtype=np.uint8)
-        for z0, z1 in zip(bounds, bounds[1:]):
-            if z0 * k >= dims[0]:
-                break
+
+        def slab(bound):
+            z0, z1 = bound
             scores = self.logits(Tensor(x.data[:, :, z0:z1]), head).data
             rows = labels[:, z0 * k : z1 * k]
             rows[...] = np.argmax(scores[:, :, : rows.shape[1], : dims[1], : dims[2]], axis=1)
+
+        map_blocks(slab, [b for b in zip(bounds, bounds[1:]) if b[0] * k < dims[0]])
         return labels
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor, no_grad, softmax
+from .autodiff.parallel import one_blas_thread
 from .errors import ConfigError, LabelError, TrainingDivergedError
 from .harmonize import zscore_normalize
 from .model import NETWORK_STRIDE, GliomaForgeNet
@@ -328,6 +329,10 @@ def predict_labels(model: GliomaForgeNet, images, dims=None) -> np.ndarray:
     array, which its caller keeps unchanged, or a one-item list holding
     one, which this empties, handing the array over. A padded copy made
     here is handed over too.
+
+    The forward runs its independent blocks on every CPU of the process's
+    affinity mask, with OpenBLAS pinned to one thread throughout
+    (`autodiff.parallel`); the labels have the bits of a one-thread run.
     """
     slot = images if isinstance(images, list) else [images]
     images = slot.pop()
@@ -337,7 +342,7 @@ def predict_labels(model: GliomaForgeNet, images, dims=None) -> np.ndarray:
         images = np.pad(images, [(0, 0)] + pads)
     slot.append(Tensor(images[None]))
     del images
-    with no_grad():
+    with no_grad(), one_blas_thread():
         return model(slot, grid if dims is None else dims)[0]
 
 

@@ -966,6 +966,44 @@ class TestTrainingCommands:
         assert f"{data / 'synth-001-seg.nii'}: mask contains labels outside" in err
         assert not (tmp_path / "o.ck").exists()
 
+    @pytest.mark.parametrize("command", ["pretrain", "finetune", "predict"])
+    @pytest.mark.parametrize("key, value", [("in_channels", 2), ("num_classes", 3)])
+    def test_model_key_the_pipeline_cannot_feed_is_data_error(
+        self, workspace, tmp_path, monkeypatch, capsys, command, key, value
+    ):
+        # finetune and predict read the model's keys from --config when the
+        # checkpoint has no .cfg beside it
+        ckpt = tmp_path / "bare.ck"
+        shutil.copy(workspace["root"] / "pre.ck", ckpt)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(TINY_CFG + f"{key} = {value}\n")  # lands in [model]
+        read = []
+        monkeypatch.setattr(cli, "load_case", lambda *args, **kwargs: read.append(args))
+        argv = {
+            "pretrain": ["pretrain", "--data", str(workspace["harm"])],
+            "finetune": ["finetune", "--data", str(workspace["harm"]), "--ckpt", str(ckpt)],
+            "predict": ["predict", "--in", str(workspace["harm"]), "--case-id", "synth-000",
+                        "--ckpt", str(ckpt)],
+        }[command]
+        rc = main(argv + ["--out", str(tmp_path / "out"), "--config", str(cfg)])
+        assert rc == EXIT_DATA
+        assert f"{cfg}: model.{key} = {value}, but the pipeline gives the network 4" in (
+            capsys.readouterr().err
+        )
+        assert read == [] and not (tmp_path / "out").exists()
+
+    def test_checkpoint_cfg_key_the_pipeline_cannot_feed_is_data_error(
+        self, workspace, tmp_path, capsys
+    ):
+        ckpt = tmp_path / "two.ck"
+        shutil.copy(workspace["root"] / "pre.ck", ckpt)
+        text = (workspace["root"] / "pre.ck.cfg").read_text()
+        (tmp_path / "two.ck.cfg").write_text(text.replace("in_channels = 4", "in_channels = 2"))
+        rc = main(["predict", "--in", str(workspace["harm"]), "--case-id", "synth-000",
+                   "--ckpt", str(ckpt), "--out", str(tmp_path / "seg.nii")])
+        assert rc == EXIT_DATA
+        assert f"{tmp_path / 'two.ck.cfg'}: model.in_channels = 2" in capsys.readouterr().err
+
     def test_finetune_missing_checkpoint_is_data_error(self, workspace, tmp_path):
         rc = main(
             ["finetune", "--data", str(workspace["harm"]), "--ckpt", str(tmp_path / "no.ck"),

@@ -36,6 +36,7 @@ UNUSED_BY_SETUP = [
     "gliomaforge.synthetic",
     "scipy",
     "numpy.random",
+    "concurrent.futures",  # the forward's thread pool, made on first use
 ]
 
 
